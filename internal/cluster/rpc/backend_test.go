@@ -8,6 +8,7 @@ package rpc_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -372,5 +373,63 @@ func TestKMeansRPCMatchesInProcess(t *testing.T) {
 	}
 	if fmt.Sprint(resA.Sizes) != fmt.Sprint(resB.Sizes) {
 		t.Fatalf("cluster sizes differ: in-process %v, rpc %v", resA.Sizes, resB.Sizes)
+	}
+}
+
+// TestKMeansRPCTwiceOnOneDeployment runs the same k-means twice on one
+// live deployment. Its iteration jobs repeat their names
+// (kmeans-iter-000, ...), so the second run's attempts reach the
+// workers under the same job name, task and attempt number as the
+// first run's; both runs must still execute and match in-process.
+func TestKMeansRPCTwiceOnOneDeployment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two multi-iteration k-means runs over the gob transport")
+	}
+	ds := geolife.Generate(geolife.Config{Users: 4, TotalTraces: 1500, Seed: 5})
+	opts := gepeto.KMeansOptions{
+		K: 4, Distance: geo.MetricSquaredEuclidean, ConvergenceDelta: 1e-4,
+		MaxIter: 3, UseCombiner: true, Seed: 1,
+	}
+	chunk := int64(64 << 10)
+	cA, fsA := newTopology(t, chunk)
+	if err := geolife.WriteRecords(fsA, "input", ds); err != nil {
+		t.Fatal(err)
+	}
+	want, err := gepeto.KMeansMR(mapreduce.NewEngine(cA, fsA, mapreduce.Options{}), []string{"input"}, "work", opts)
+	if err != nil {
+		t.Fatalf("in-process k-means: %v", err)
+	}
+
+	cB, fsB := newTopology(t, chunk)
+	if err := geolife.WriteRecords(fsB, "input", ds); err != nil {
+		t.Fatal(err)
+	}
+	b := startBackend(t, cB, fsB, backendOpts{})
+	eng := b.engine(cB, fsB)
+	for run := 1; run <= 2; run++ {
+		type outcome struct {
+			res *gepeto.KMeansResult
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func(workDir string) {
+			res, err := gepeto.KMeansMR(eng, []string{"input"}, workDir, opts)
+			done <- outcome{res, err}
+		}(fmt.Sprintf("work-%d", run))
+		var got outcome
+		select {
+		case got = <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("rpc k-means run %d did not finish within 60s", run)
+		}
+		if got.err != nil {
+			t.Fatalf("rpc k-means run %d: %v", run, got.err)
+		}
+		if got.res.Iterations != want.Iterations || got.res.Converged != want.Converged ||
+			!reflect.DeepEqual(got.res.Centroids, want.Centroids) || !reflect.DeepEqual(got.res.Sizes, want.Sizes) {
+			t.Fatalf("rpc run %d differs from in-process:\n in-process %d/%v %v %v\n rpc        %d/%v %v %v", run,
+				want.Iterations, want.Converged, want.Centroids, want.Sizes,
+				got.res.Iterations, got.res.Converged, got.res.Centroids, got.res.Sizes)
+		}
 	}
 }

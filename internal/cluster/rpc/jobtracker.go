@@ -58,6 +58,7 @@ type heartbeatReply struct {
 }
 
 type completeArgs struct {
+	JobSeq  uint64 // echoed from assignArgs
 	Job     string
 	TaskID  string
 	Attempt int
@@ -188,6 +189,9 @@ type Jobtracker struct {
 
 	dupCompletions atomic.Int64
 	dupDFSCreates  atomic.Int64
+	// jobSeq issues each submitted job its sequence number (see
+	// rpcExecutor.ForJob).
+	jobSeq atomic.Uint64
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -506,7 +510,7 @@ func (jt *Jobtracker) handleHeartbeat(a *heartbeatArgs) (*heartbeatReply, error)
 }
 
 func (jt *Jobtracker) handleComplete(a *completeArgs) (*completeReply, error) {
-	key := attemptKey(a.Job, a.TaskID, a.Attempt)
+	key := attemptKey(a.JobSeq, a.Job, a.TaskID, a.Attempt)
 	jt.mu.Lock()
 	p, ok := jt.pending[key]
 	if ok {
@@ -585,15 +589,26 @@ func (jt *Jobtracker) handleDFSSize(a *dfsSizeArgs) (*dfsSizeReply, error) {
 	return &dfsSizeReply{Size: size}, nil
 }
 
-func attemptKey(job, task string, attempt int) string {
-	return fmt.Sprintf("%s|%s|%d", job, task, attempt)
+// attemptKey identifies one attempt of one submitted job. Job names
+// repeat across runs (every k-means run submits kmeans-iter-000, ...),
+// so the jobtracker-issued job sequence keeps a rerun's attempts apart
+// from the earlier run's.
+func attemptKey(jobSeq uint64, job, task string, attempt int) string {
+	return fmt.Sprintf("%d|%s|%s|%d", jobSeq, job, task, attempt)
 }
 
 // rpcExecutor bridges the scheduler to remote workers: RunTask ships
 // the attempt to the worker registered for the placed node, then waits
 // for its completion report, the worker's loss, or the phase ending.
 type rpcExecutor struct {
-	jt *Jobtracker
+	jt     *Jobtracker
+	jobSeq uint64 // issued by ForJob; 0 if RunTask is called without it
+}
+
+// ForJob issues the next job sequence and returns the executor for
+// that one submitted job.
+func (x *rpcExecutor) ForJob(*mapreduce.Job) mapreduce.Executor {
+	return &rpcExecutor{jt: x.jt, jobSeq: x.jt.jobSeq.Add(1)}
 }
 
 // External implements mapreduce.Executor: results live in the DFS, not
@@ -614,7 +629,7 @@ func (x *rpcExecutor) RunTask(ctx context.Context, spec mapreduce.TaskSpec) (map
 	if err != nil {
 		return mapreduce.TaskResult{}, err
 	}
-	key := attemptKey(spec.Job.Name, spec.TaskID, spec.Attempt)
+	key := attemptKey(x.jobSeq, spec.Job.Name, spec.TaskID, spec.Attempt)
 	p := &pendingCall{ch: make(chan completion, 1), node: spec.Node}
 	jt.mu.Lock()
 	jt.pending[key] = p
@@ -628,7 +643,7 @@ func (x *rpcExecutor) RunTask(ctx context.Context, spec mapreduce.TaskSpec) (map
 	}()
 
 	args := assignArgs{
-		Job: wire, Phase: spec.Phase, TaskID: spec.TaskID, Index: spec.Index,
+		JobSeq: x.jobSeq, Job: wire, Phase: spec.Phase, TaskID: spec.TaskID, Index: spec.Index,
 		Attempt: spec.Attempt, Node: spec.Node, MapOnly: spec.MapOnly,
 		NumReducers: spec.NumReducers, ShuffleBudget: spec.ShuffleBudget,
 		Split: spec.Split, Partition: spec.Partition, Runs: spec.Runs,

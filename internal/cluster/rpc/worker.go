@@ -13,8 +13,11 @@ import (
 
 // Task assignment args/replies. assignArgs mirrors mapreduce.TaskSpec
 // with the Job flattened to its wire form (TaskSpec itself carries
-// function fields and cannot gob).
+// function fields and cannot gob). JobSeq is the jobtracker-issued
+// sequence of the submitted job, which tells apart two runs of a job
+// with the same name.
 type assignArgs struct {
+	JobSeq        uint64
 	Job           mapreduce.JobWire
 	Phase         string
 	TaskID        string
@@ -198,7 +201,7 @@ func (w *Worker) Stop() {
 }
 
 func (w *Worker) handleAssign(a *assignArgs) (*assignReply, error) {
-	key := attemptKey(a.Job.Name, a.TaskID, a.Attempt)
+	key := attemptKey(a.JobSeq, a.Job.Name, a.TaskID, a.Attempt)
 	w.mu.Lock()
 	if w.seen[key] {
 		// Duplicate delivery of an assignment already queued or run:
@@ -258,7 +261,7 @@ func (w *Worker) runTask(a assignArgs) {
 	}
 	w.reg.Counter("worker_tasks_total", "Task attempts executed by this worker, by status.", obs.Labels{"status": status}).Inc()
 	comp := completeArgs{
-		Job: a.Job.Name, TaskID: a.TaskID, Attempt: a.Attempt, Node: w.cfg.Node,
+		JobSeq: a.JobSeq, Job: a.Job.Name, TaskID: a.TaskID, Attempt: a.Attempt, Node: w.cfg.Node,
 		Res: toResultWire(res),
 	}
 	// Time is stamped on this worker's (possibly skewed) clock and Job

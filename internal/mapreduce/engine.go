@@ -176,6 +176,9 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	// job to wire — a missing kind registration should fail the job at
 	// submission, not every task attempt on the workers.
 	exec := e.opts.Executor
+	if s, ok := exec.(jobScoped); ok {
+		exec = s.ForJob(job)
+	}
 	external := exec != nil && exec.External()
 	if external {
 		if _, err := job.Wire(budget); err != nil {

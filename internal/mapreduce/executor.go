@@ -114,6 +114,13 @@ type Executor interface {
 	External() bool
 }
 
+// jobScoped is implemented by an Executor that keeps per-submission
+// state: Run calls ForJob once per submitted job and runs every
+// attempt of that job through the executor it returns.
+type jobScoped interface {
+	ForJob(job *Job) Executor
+}
+
 // localExecutor is the in-process backend: tasks run as goroutines on
 // the scheduler's slot workers, exactly as the monolithic engine did.
 // It carries the per-job state the phases share (the live counters,

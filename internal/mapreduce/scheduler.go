@@ -370,9 +370,13 @@ func (e *Engine) schedule(job *Job, phase string, alog *attemptLog, specs []Task
 		}
 	}
 
+	// Count every slot before any worker starts: a worker reads the
+	// pool under mu as soon as it runs.
 	for _, n := range nodes {
 		liveSlots += n.Slots
 		liveNodes[n.ID] = true
+	}
+	for _, n := range nodes {
 		for s := 0; s < n.Slots; s++ {
 			wg.Add(1)
 			go worker(n.ID)

@@ -122,6 +122,43 @@ func BenchmarkFileWriteScan(b *testing.B) {
 	b.ReportMetric(1000, "records/op")
 }
 
+// BenchmarkCodecCompressedSpill writes a multi-block compressed spill
+// run and scans it back, the per-run work of a CompressSpill shuffle.
+// Its allocs/op show whether DEFLATE state and block buffers are
+// recycled rather than rebuilt per block.
+func BenchmarkCodecCompressedSpill(b *testing.B) {
+	tr := someBenchTrace()
+	val := string(TraceValue{}.Append(nil, tr))
+	const records = 20000 // ≈ 12 default-size blocks
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w := NewCompressedWriter(0)
+		for j := 0; j < records; j++ {
+			w.Add(tr.User, val)
+		}
+		data := w.Bytes()
+		r, err := NewFileReader(int64(len(data)), BytesFetcher(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for {
+			_, _, ok, err := r.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			n++
+		}
+		if n != records {
+			b.Fatalf("scanned %d records, want %d", n, records)
+		}
+	}
+	b.ReportMetric(records, "records/op")
+}
+
 func someBenchTrace() trace.Trace {
 	tr, err := trace.ParseRecord("user-042\t39.984702,116.318417,492,1224730100")
 	if err != nil {

@@ -16,14 +16,22 @@
 // FileReader streams either format through a caller-supplied ranged
 // fetch (a dfs.ReadRange closure in the engine) so a reduce-side merge
 // holds one fetch window per run instead of whole run files.
+//
+// Like Hadoop's CodecPool, the v2 codec recycles its DEFLATE state:
+// compressors and decompressors come from package-level pools and are
+// re-armed with Reset, and each writer and reader reuses its block
+// buffers, so encoding or decoding a block allocates nothing.
 
 package recordio
 
 import (
 	"bytes"
 	"compress/flate"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 )
 
 const (
@@ -47,8 +55,33 @@ func IsCompressedRecordData(b []byte) bool {
 type CompressedWriter struct {
 	buf       []byte // encoded file
 	block     []byte // pending raw payload
+	comp      []byte // scratch for the block being compressed
 	blockSize int
 }
+
+// deflater is a pooled BestSpeed compressor together with its sink:
+// the compressor writes into out, which flushBlock points at the
+// calling writer's scratch slice for the duration of one block.
+type deflater struct {
+	zw  *flate.Writer
+	out []byte
+}
+
+func (d *deflater) Write(p []byte) (int, error) {
+	d.out = append(d.out, p...)
+	return len(p), nil
+}
+
+var deflaters = sync.Pool{New: func() any {
+	d := new(deflater)
+	zw, err := flate.NewWriter(d, flate.BestSpeed)
+	if err != nil {
+		// flate.NewWriter only fails on an invalid level constant.
+		panic(err)
+	}
+	d.zw = zw
+	return d
+}}
 
 // NewCompressedWriter returns a writer with the header already
 // emitted. blockSize ≤ 0 selects DefaultCompressBlock.
@@ -74,25 +107,27 @@ func (w *CompressedWriter) Add(key, value string) {
 }
 
 // flushBlock compresses and emits the pending payload as one block.
+// Reset leaves a pooled compressor in the state NewWriter would, so
+// the bytes match a fresh compressor per block.
 func (w *CompressedWriter) flushBlock() {
 	if len(w.block) == 0 {
 		return
 	}
-	var comp bytes.Buffer
-	zw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		// flate.NewWriter only fails on an invalid level constant.
+	d := deflaters.Get().(*deflater)
+	d.zw.Reset(d)
+	d.out = w.comp[:0]
+	// The sink cannot fail, so neither can Write or Close.
+	if _, err := d.zw.Write(w.block); err != nil {
 		panic(err)
 	}
-	if _, err := zw.Write(w.block); err != nil {
-		panic(err) // bytes.Buffer writes cannot fail
-	}
-	if err := zw.Close(); err != nil {
+	if err := d.zw.Close(); err != nil {
 		panic(err)
 	}
+	w.comp, d.out = d.out, nil
+	deflaters.Put(d)
 	w.buf = appendUvarint(w.buf, uint64(len(w.block)))
-	w.buf = appendUvarint(w.buf, uint64(comp.Len()))
-	w.buf = append(w.buf, comp.Bytes()...)
+	w.buf = appendUvarint(w.buf, uint64(len(w.comp)))
+	w.buf = append(w.buf, w.comp...)
 	w.block = w.block[:0]
 }
 
@@ -123,7 +158,7 @@ type FileReader struct {
 	buf []byte // fetched raw window, consumed from pos
 	pos int
 
-	block    []byte // v2: current decompressed payload
+	block    []byte // v2: current decompressed payload, reused across blocks
 	blockPos int
 }
 
@@ -271,17 +306,57 @@ func (r *FileReader) loadBlock() (bool, error) {
 	if len(hdr) < need {
 		return false, fmt.Errorf("recordio: truncated block at offset %d", r.off+int64(r.pos))
 	}
-	zr := flate.NewReader(bytes.NewReader(hdr[rn+cn : need]))
-	raw := make([]byte, rawLen)
-	if _, err := io.ReadFull(zr, raw); err != nil {
-		return false, fmt.Errorf("recordio: block at offset %d does not decompress to %d bytes: %v", r.off+int64(r.pos), rawLen, err)
-	}
-	if err := zr.Close(); err != nil {
-		return false, fmt.Errorf("recordio: corrupt compressed block at offset %d: %v", r.off+int64(r.pos), err)
+	// The previous block is fully consumed, so its buffer can take the
+	// next one: Next copies every key and value out.
+	raw := slices.Grow(r.block[:0], int(rawLen))[:rawLen]
+	if err := inflate(raw, hdr[rn+cn:need]); err != nil {
+		return false, fmt.Errorf("recordio: block at offset %d: %w", r.off+int64(r.pos), err)
 	}
 	r.pos += need
 	r.block, r.blockPos = raw, 0
 	return true, nil
+}
+
+// inflater is a pooled DEFLATE decompressor together with the reader
+// it decodes from.
+type inflater struct {
+	src   bytes.Reader
+	zr    io.Reader // flate decompressor over src; a flate.Resetter
+	probe [1]byte   // reads past the declared length, expecting EOF
+}
+
+var inflaters = sync.Pool{New: func() any {
+	f := new(inflater)
+	f.zr = flate.NewReader(&f.src)
+	return f
+}}
+
+// errOverlongBlock reports a block whose DEFLATE stream carries more
+// bytes than its header declares.
+var errOverlongBlock = errors.New("corrupt compressed block: stream decompresses past its declared length")
+
+// inflate decompresses one block's DEFLATE stream into dst, which is
+// exactly the declared raw length. A stream that ends short of dst or
+// runs past it is an error. Reset re-arms the pooled decompressor
+// completely, so a failed stream cannot affect the next block.
+func inflate(dst, comp []byte) error {
+	f := inflaters.Get().(*inflater)
+	defer inflaters.Put(f)
+	f.src.Reset(comp)
+	defer f.src.Reset(nil) // do not pin the caller's window while pooled
+	if err := f.zr.(flate.Resetter).Reset(&f.src, nil); err != nil {
+		return err
+	}
+	if _, err := io.ReadFull(f.zr, dst); err != nil {
+		return fmt.Errorf("does not decompress to %d bytes: %v", len(dst), err)
+	}
+	switch n, err := f.zr.Read(f.probe[:]); {
+	case n > 0:
+		return errOverlongBlock
+	case err != io.EOF:
+		return fmt.Errorf("corrupt compressed block: %v", err)
+	}
+	return nil
 }
 
 // BytesFetcher adapts an in-memory file to a FetchFunc, truncating at

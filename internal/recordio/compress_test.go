@@ -1,8 +1,12 @@
 package recordio
 
 import (
+	"bytes"
+	"compress/flate"
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -195,4 +199,191 @@ func TestFileReaderMatchesSliceReader(t *testing.T) {
 			t.Fatalf("record %d: streaming %v, slice %v", i, got[i], want[i])
 		}
 	}
+}
+
+// referenceCompressed encodes recs as a version-2 file with a fresh
+// BestSpeed compressor per block: the encoder the pooled writer must
+// match byte for byte, so spill sizes and counters cannot move.
+func referenceCompressed(blockSize int, recs []kv) []byte {
+	out := append([]byte(nil), compressedHeader[:]...)
+	var block []byte
+	flush := func() {
+		if len(block) == 0 {
+			return
+		}
+		// NewWriter fails only on a bad level, and writes into a
+		// bytes.Buffer cannot fail, so the errors are dropped.
+		var comp bytes.Buffer
+		zw, _ := flate.NewWriter(&comp, flate.BestSpeed)
+		_, _ = zw.Write(block)
+		_ = zw.Close()
+		out = appendUvarint(out, uint64(len(block)))
+		out = appendUvarint(out, uint64(comp.Len()))
+		out = append(out, comp.Bytes()...)
+		block = block[:0]
+	}
+	for _, r := range recs {
+		block = appendUvarint(block, uint64(len(r.Key)))
+		block = appendUvarint(block, uint64(len(r.Value)))
+		block = append(block, r.Key...)
+		block = append(block, r.Value...)
+		if len(block) >= blockSize {
+			flush()
+		}
+	}
+	flush()
+	return out
+}
+
+// testRecords returns n deterministic records whose contents depend on
+// seed; every few records a long, repetitive value stresses matching.
+func testRecords(seed, n int) []kv {
+	recs := make([]kv, n)
+	for i := range recs {
+		v := fmt.Sprintf("%d:%d:%x", seed, i, i*i*(seed+1))
+		if i%17 == 0 {
+			v += strings.Repeat(fmt.Sprint(seed), 200+i%50)
+		}
+		recs[i] = kv{Key: fmt.Sprintf("user-%03d|%06d", (i*7+seed)%100, i), Value: v}
+	}
+	return recs
+}
+
+func writeCompressed(blockSize int, recs []kv) []byte {
+	w := NewCompressedWriter(blockSize)
+	for _, r := range recs {
+		w.Add(r.Key, r.Value)
+	}
+	return w.Bytes()
+}
+
+// TestCompressedBytesMatchFreshEncoder runs many writers in sequence,
+// each producing multi-block files, so pooled compressors are reused
+// across blocks and across writers.
+func TestCompressedBytesMatchFreshEncoder(t *testing.T) {
+	for seed := 0; seed < 12; seed++ {
+		blockSize := []int{0, 300, 2000, 8192}[seed%4]
+		recs := testRecords(seed, 200+seed*30)
+		got := writeCompressed(blockSize, recs)
+		ref := blockSize
+		if ref <= 0 {
+			ref = DefaultCompressBlock
+		}
+		if want := referenceCompressed(ref, recs); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d block %d: pooled writer wrote %d bytes, fresh-encoder reference %d (contents differ)",
+				seed, blockSize, len(got), len(want))
+		}
+	}
+	// A file bigger than the default block, so the default path spans
+	// several blocks too.
+	recs := testRecords(99, 6000)
+	if got, want := writeCompressed(0, recs), referenceCompressed(DefaultCompressBlock, recs); !bytes.Equal(got, want) {
+		t.Fatalf("multi-block default file: pooled %d bytes, reference %d", len(got), len(want))
+	}
+}
+
+// TestFileReaderStringsSurviveBlockReuse keeps every returned key and
+// value until the file is drained: later blocks decompress into the
+// same buffer, which must not show through the earlier strings.
+func TestFileReaderStringsSurviveBlockReuse(t *testing.T) {
+	// The first block is the largest, so every later block fits in its
+	// buffer and reuses it.
+	want := []kv{{Key: "giant", Value: strings.Repeat("G", 4000)}}
+	for i := 0; i < 400; i++ {
+		want = append(want, kv{Key: fmt.Sprintf("k%04d", i), Value: strings.Repeat(string(rune('a'+i%26)), 20+i%13)})
+	}
+	got := readAll(t, writeCompressed(256, want))
+	if len(got) != len(want) {
+		t.Fatalf("read %d records, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("record %d changed after later blocks were read: key %q, value %.20q…", i, got[i].Key, got[i].Value)
+		}
+	}
+}
+
+// TestCompressedOverlongBlockIsError hand-builds a block whose DEFLATE
+// stream holds one record plus 16 trailing bytes while its header
+// declares only the record: the reader must refuse it rather than drop
+// the extra bytes.
+func TestCompressedOverlongBlockIsError(t *testing.T) {
+	var rec []byte
+	rec = appendUvarint(rec, 3)
+	rec = appendUvarint(rec, 5)
+	rec = append(rec, "keyvalue"...)
+	payload := append(append([]byte(nil), rec...), bytes.Repeat([]byte{0xEE}, 16)...)
+	var comp bytes.Buffer
+	zw, err := flate.NewWriter(&comp, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := append([]byte(nil), compressedHeader[:]...)
+	data = appendUvarint(data, uint64(len(rec)))
+	data = appendUvarint(data, uint64(comp.Len()))
+	data = append(data, comp.Bytes()...)
+
+	r, err := NewFileReader(int64(len(data)), BytesFetcher(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, v, ok, err := r.Next()
+	if !errors.Is(err, errOverlongBlock) {
+		t.Fatalf("Next = (%q, %q, %v, %v), want the over-long block error", k, v, ok, err)
+	}
+	if !strings.Contains(err.Error(), "corrupt compressed block") {
+		t.Fatalf("error %q does not name the corrupt block", err)
+	}
+}
+
+// TestCompressedPoolsConcurrent writes and reads through the shared
+// compressor and decompressor pools from several goroutines at once.
+// Run under -race.
+func TestCompressedPoolsConcurrent(t *testing.T) {
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				seed := g*10 + round
+				recs := testRecords(seed, 400)
+				data := writeCompressed(1024, recs)
+				if want := referenceCompressed(1024, recs); !bytes.Equal(data, want) {
+					t.Errorf("goroutine %d round %d: bytes differ from the fresh-encoder reference", g, round)
+					return
+				}
+				r, err := NewFileReader(int64(len(data)), BytesFetcher(data))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; ; i++ {
+					k, v, ok, err := r.Next()
+					if err != nil {
+						t.Errorf("goroutine %d round %d record %d: %v", g, round, i, err)
+						return
+					}
+					if !ok {
+						if i != len(recs) {
+							t.Errorf("goroutine %d round %d: read %d records, want %d", g, round, i, len(recs))
+						}
+						break
+					}
+					if i >= len(recs) || (kv{Key: k, Value: v}) != recs[i] {
+						t.Errorf("goroutine %d round %d: record %d mismatch", g, round, i)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

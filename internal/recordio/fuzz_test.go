@@ -1,7 +1,9 @@
 package recordio
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,5 +134,49 @@ func FuzzScanAll(f *testing.F) {
 		}
 		n := 0
 		_ = ScanAll(data, func(k, v string) error { n++; return nil })
+	})
+}
+
+// FuzzCompressedFileReader feeds arbitrary bytes after the version-2
+// header to the streaming reader: every input must end in an error or
+// a clean EOF, never a panic. A valid file decoded afterwards must
+// still round-trip, so a stream that failed mid-block cannot leave a
+// pooled decompressor in a state that corrupts the next reader.
+func FuzzCompressedFileReader(f *testing.F) {
+	w := NewCompressedWriter(64)
+	for i := 0; i < 12; i++ {
+		w.Add(fmt.Sprintf("key-%02d", i), strings.Repeat("v", i*5))
+	}
+	valid := w.Bytes()
+	f.Add(valid[HeaderLen:])
+	f.Add(valid[HeaderLen : len(valid)-3])
+	f.Add([]byte{})
+	f.Add([]byte{0x05, 0x01, 0x00})
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	want := make([]kv, 0, 12)
+	for i := 0; i < 12; i++ {
+		want = append(want, kv{Key: fmt.Sprintf("key-%02d", i), Value: strings.Repeat("v", i*5)})
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := append(append([]byte(nil), compressedHeader[:]...), body...)
+		r, err := NewFileReader(int64(len(data)), BytesFetcher(data))
+		if err != nil {
+			t.Fatalf("open of a v2 header failed: %v", err)
+		}
+		for {
+			_, _, ok, err := r.Next()
+			if err != nil || !ok {
+				break
+			}
+		}
+		got := readAll(t, valid)
+		if len(got) != len(want) {
+			t.Fatalf("valid file read %d records after the fuzzed stream, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("valid file record %d = %v after the fuzzed stream, want %v", i, got[i], want[i])
+			}
+		}
 	})
 }
