@@ -29,6 +29,7 @@ import (
 const (
 	kindWordCount = "rpctest/wordcount"
 	kindUpper     = "rpctest/upper-maponly"
+	kindFlaky     = "rpctest/wordcount-flaky-cleanup"
 )
 
 func wcMap(ctx *mapreduce.TaskContext, _, value string, emit mapreduce.Emit) error {
@@ -52,6 +53,21 @@ func sumReduce(_ *mapreduce.TaskContext, key string, values []string, emit mapre
 	return nil
 }
 
+// flakyCleanupMapper is wcMap whose first attempt of map-0000 fails in
+// Cleanup, after every per-word counter tick has landed.
+type flakyCleanupMapper struct{ mapreduce.MapperBase }
+
+func (flakyCleanupMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.Emit) error {
+	return wcMap(ctx, key, value, emit)
+}
+
+func (flakyCleanupMapper) Cleanup(ctx *mapreduce.TaskContext, _ mapreduce.Emit) error {
+	if ctx.TaskID == "map-0000" && ctx.Attempt == 0 {
+		return fmt.Errorf("injected cleanup failure")
+	}
+	return nil
+}
+
 func upperMap(_ *mapreduce.TaskContext, _, value string, emit mapreduce.Emit) error {
 	emit(strings.ToUpper(value), value)
 	return nil
@@ -65,6 +81,10 @@ func init() {
 	})
 	mapreduce.RegisterKind(kindUpper, mapreduce.JobKind{
 		NewMapper: func() mapreduce.Mapper { return mapreduce.MapFunc(upperMap) },
+	})
+	mapreduce.RegisterKind(kindFlaky, mapreduce.JobKind{
+		NewMapper:  func() mapreduce.Mapper { return flakyCleanupMapper{} },
+		NewReducer: func() mapreduce.Reducer { return mapreduce.ReduceFunc(sumReduce) },
 	})
 }
 
@@ -286,6 +306,43 @@ func TestRPCBackendMatchesInProcess(t *testing.T) {
 	rw := remote.Counters.Value("rpctest", "words")
 	if lw == 0 || lw != rw {
 		t.Fatalf("user counter words: in-process %d, rpc %d", lw, rw)
+	}
+}
+
+// TestUserCountersWinnerOnly runs a job whose first map attempt fails
+// after ticking its user counters: on both backends only the winning
+// attempt's ticks reach the job total.
+func TestUserCountersWinnerOnly(t *testing.T) {
+	const lines = 60
+	local, remote, localOut, remoteOut, _ := runBoth(t,
+		func() *mapreduce.Job {
+			return &mapreduce.Job{
+				Name:        "rpc-flaky-wordcount",
+				Kind:        kindFlaky,
+				InputPaths:  []string{"in"},
+				OutputPath:  "out",
+				NewMapper:   func() mapreduce.Mapper { return flakyCleanupMapper{} },
+				NewReducer:  func() mapreduce.Reducer { return mapreduce.ReduceFunc(sumReduce) },
+				NumReducers: 3,
+			}
+		},
+		func(t *testing.T, fs *dfs.FileSystem) { seedWordInput(t, fs, lines) },
+		backendOpts{})
+	assertSameOutput(t, localOut, remoteOut)
+	const want = lines * 10 // seedWordInput writes ten words a line
+	for name, res := range map[string]*mapreduce.Result{"in-process": local, "rpc": remote} {
+		failed := 0
+		for _, a := range res.Attempts {
+			if a.Status == "failed" {
+				failed++
+			}
+		}
+		if failed != 1 {
+			t.Errorf("%s: %d failed attempts, want 1", name, failed)
+		}
+		if n := res.Counters.Value("rpctest", "words"); n != want {
+			t.Errorf("%s: user counter words = %d, want %d (winner only)", name, n, want)
+		}
 	}
 }
 

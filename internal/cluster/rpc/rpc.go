@@ -97,7 +97,10 @@ func Handle[A, R any](s *Server, method string, fn func(*A) (*R, error)) {
 	}
 }
 
-// dispatch runs one request through the matching handler.
+// dispatch runs one request through the matching handler. A handler
+// panic becomes an error reply: one malformed or hostile request must
+// not take down the service (TCP handlers run on unrecovered
+// connection goroutines).
 func (s *Server) dispatch(method string, body []byte) ([]byte, error) {
 	s.mu.RLock()
 	h, ok := s.handlers[method]
@@ -107,12 +110,27 @@ func (s *Server) dispatch(method string, body []byte) ([]byte, error) {
 		return nil, fmt.Errorf("rpc: unknown method %q", method)
 	}
 	if reg == nil {
-		return h(body)
+		return runHandler(nil, method, h, body)
 	}
 	start := time.Now()
-	out, err := h(body)
+	out, err := runHandler(reg, method, h, body)
 	s.observe(reg, method, len(body), len(out), err, time.Since(start))
 	return out, err
+}
+
+// runHandler calls h, recovering a panic into an error and counting it
+// in reg (when non-nil) as rpc_server_panics_total.
+func runHandler(reg *obs.Registry, method string, h handler, body []byte) (out []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			out, err = nil, fmt.Errorf("rpc: %s: handler panic: %v", method, p)
+			if reg != nil {
+				reg.Counter("rpc_server_panics_total", "Handler panics recovered into error replies, by method.",
+					obs.Labels{"method": method}).Inc()
+			}
+		}
+	}()
+	return h(body)
 }
 
 func encode(v any) ([]byte, error) {

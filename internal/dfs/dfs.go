@@ -307,11 +307,11 @@ func (fs *FileSystem) ReadRange(path string, offset, length int64) ([]byte, erro
 	if offset >= meta.size {
 		return nil, nil
 	}
-	end := offset + length
-	if end > meta.size {
-		end = meta.size
+	if length > meta.size-offset {
+		length = meta.size - offset // clamp before adding: offset+length may overflow
 	}
-	out := make([]byte, 0, end-offset)
+	end := offset + length
+	out := make([]byte, 0, length)
 	for _, cm := range meta.chunks {
 		cEnd := cm.offset + cm.length
 		if cEnd <= offset || cm.offset >= end {

@@ -3,6 +3,7 @@ package dfs
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -146,6 +147,10 @@ func TestReadRange(t *testing.T) {
 	// Negative.
 	if _, err := fs.ReadRange("f", -1, 10); err == nil {
 		t.Fatal("negative offset should error")
+	}
+	// A length whose end overflows int64 reads to EOF.
+	if got, err := fs.ReadRange("f", 1, math.MaxInt64); err != nil || !bytes.Equal(got, data[1:]) {
+		t.Fatalf("overflowing read = %d bytes, %v; want %d bytes", len(got), err, len(data)-1)
 	}
 }
 

@@ -96,36 +96,6 @@ func (l *attemptLog) snapshot() []obs.AttemptRecord {
 	return append([]obs.AttemptRecord(nil), l.recs...)
 }
 
-// mapOutput is one map task's partitioned intermediate output: per
-// partition either an in-memory sorted run, or — when the task spilled
-// under Job.MaxShuffleBytes, or ran on an external executor — a list
-// of file-backed sorted runs.
-type mapOutput struct {
-	parts    [][]KV       // indexed by reducer partition; nil entries when spilled
-	fileRuns [][]spillRun // per-partition spill runs, nil unless the task spilled
-}
-
-// remoteMapOutput converts a remote map task's run descriptors into
-// the engine's shuffle-planning form. Every partition of a remote task
-// is file-backed (or empty).
-func remoteMapOutput(runs [][]RunDesc, numReducers int) *mapOutput {
-	out := &mapOutput{parts: make([][]KV, numReducers)}
-	var fr [][]spillRun
-	for p, rds := range runs {
-		if len(rds) == 0 {
-			continue
-		}
-		if fr == nil {
-			fr = make([][]spillRun, numReducers)
-		}
-		for _, rd := range rds {
-			fr[p] = append(fr[p], spillRun{path: rd.Path, records: rd.Records, bytes: rd.Bytes})
-		}
-	}
-	out.fileRuns = fr
-	return out
-}
-
 // shuffleBudgetFor resolves a job's per-task spill budget: the manual
 // MaxShuffleBytes knob wins; otherwise MemoryTargetBytes is divided by
 // the cluster's concurrent task slots (the worst case of every slot's
@@ -148,40 +118,79 @@ func (e *Engine) shuffleBudgetFor(job *Job) int64 {
 	return budget
 }
 
-// Run executes one job to completion and returns its result.
+// jobRun is one submitted job's driver-side state, shared by the
+// phases Run sequences.
+type jobRun struct {
+	e           *Engine
+	job         *Job
+	exec        Executor
+	local       *localExecutor // nil when an external executor runs the attempts
+	numReducers int
+	maxAttempts int
+	budget      int64
+	mapOnly     bool
+	splits      []InputSplit
+	res         *Result
+	alog        *attemptLog
+	bus         *obs.Bus
+	io0         dfs.IOStatsSnapshot
+}
+
+// Run executes one job to completion and returns its result: the map
+// phase, then — unless the job is map-only — the shuffle plan and the
+// reduce phase, then the commit of the winning attempts' outputs.
 func (e *Engine) Run(job *Job) (*Result, error) {
+	r, err := e.submit(job)
+	if err != nil {
+		return nil, err
+	}
+	results, err := r.mapPhase()
+	if err == nil && !r.mapOnly {
+		results, err = r.reducePhase(r.shuffle(results))
+	}
+	if err == nil {
+		err = r.commit(results)
+	}
+	if err != nil {
+		return r.fail(err)
+	}
+	return r.complete(), nil
+}
+
+// submit validates and resolves a job, selects its executor and
+// computes its splits, then announces it on the bus.
+func (e *Engine) submit(job *Job) (*jobRun, error) {
 	start := time.Now()
 	if err := validate(job); err != nil {
 		return nil, err
 	}
-	numReducers := job.NumReducers
-	if numReducers <= 0 {
-		numReducers = 1
+	r := &jobRun{
+		e: e, job: job, numReducers: job.NumReducers, maxAttempts: job.MaxAttempts,
+		budget: e.shuffleBudgetFor(job), mapOnly: job.NewReducer == nil,
+		alog: &attemptLog{t0: start}, bus: e.opts.Obs,
 	}
-	partition := job.Partitioner
-	if partition == nil {
-		partition = HashPartition
+	if r.numReducers <= 0 {
+		r.numReducers = 1
 	}
-	maxAttempts := job.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
+	if r.maxAttempts <= 0 {
+		r.maxAttempts = 3
 	}
 	if existing := e.fs.List(job.OutputPath); len(existing) > 0 {
 		return nil, fmt.Errorf("mapreduce: output path %q already exists", job.OutputPath)
 	}
-	budget := e.shuffleBudgetFor(job)
-	mapOnly := job.NewReducer == nil
 
 	// Select the executor. The external path additionally requires the
 	// job to wire — a missing kind registration should fail the job at
 	// submission, not every task attempt on the workers.
-	exec := e.opts.Executor
-	if s, ok := exec.(jobScoped); ok {
-		exec = s.ForJob(job)
+	r.exec = e.opts.Executor
+	if s, ok := r.exec.(jobScoped); ok {
+		r.exec = s.ForJob(job)
 	}
-	external := exec != nil && exec.External()
-	if external {
-		if _, err := job.Wire(budget); err != nil {
+	if r.exec == nil {
+		r.local = &localExecutor{e: e}
+		r.exec = r.local
+	} else if r.exec.External() {
+		if _, err := job.Wire(r.budget); err != nil {
 			return nil, err
 		}
 	}
@@ -190,234 +199,137 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %s: %v", job.Name, err)
 	}
-
-	res := &Result{
+	r.splits = splits
+	r.res = &Result{
 		Job:      job.Name,
 		Counters: NewCounters(),
 		MapTasks: len(splits),
 		Start:    start,
 	}
-	var lx *localExecutor
-	if exec == nil {
-		lx = &localExecutor{
-			e: e, job: job, mapOnly: mapOnly, numReducers: numReducers,
-			partition: partition, budget: budget, counters: res.Counters,
-		}
-		exec = lx
-	}
-
-	bus := e.opts.Obs
-	alog := &attemptLog{t0: start}
-	io0 := e.fs.IOStats()
-	bus.Emit(obs.Event{
+	r.io0 = e.fs.IOStats()
+	r.bus.Emit(obs.Event{
 		Type: obs.JobSubmitted, Job: job.Name, Parent: job.Parent, Time: start,
-		Detail: fmt.Sprintf("maps=%d reducers=%d", len(splits), numReducers),
+		Detail: fmt.Sprintf("maps=%d reducers=%d", len(splits), r.numReducers),
 	})
-	// cleanupSpills removes the job's external-shuffle run files and —
-	// on an external executor — the uncommitted task temp outputs at
-	// job end. Cleanup is best-effort — a stuck delete must not change
-	// the job's outcome — but failures are counted, never dropped.
-	// Background speculative reduce losers may still be streaming a
-	// spill file here; their read error is discarded with the rest of
-	// the losing attempt.
-	cleanupSpills := func() {
-		if external {
-			if derr := e.fs.DeleteDir(tmpDir(job.Name)); derr != nil {
-				res.Counters.Get(CounterGroupShuffle, CounterShuffleSpillCleanupErrors).Inc(1)
-			}
-		}
-		if (budget <= 0 && !external) || mapOnly {
-			return
-		}
-		if derr := e.fs.DeleteDir(spillDir(job)); derr != nil {
-			res.Counters.Get(CounterGroupShuffle, CounterShuffleSpillCleanupErrors).Inc(1)
-		}
-	}
-	// fail reports the job's failure on the bus before returning it.
-	// Any part files already committed are removed first — the output-
-	// exists check at submission guarantees everything under OutputPath
-	// was written by this job, and leaving partial output behind would
-	// make a rerun of the same job fail on that very check.
-	fail := func(err error) (*Result, error) {
-		cleanupSpills()
-		if derr := e.fs.DeleteDir(job.OutputPath); derr != nil {
-			// A rerun would now trip the output-exists check; make the
-			// stuck cleanup part of the reported failure.
-			err = fmt.Errorf("%v (cleaning partial output: %v)", err, derr)
-		}
-		bus.Emit(obs.Event{
-			Type: obs.JobFinished, Job: job.Name, Parent: job.Parent,
-			Dur: time.Since(start), Err: err.Error(),
-		})
-		return nil, err
-	}
-	// complete finalises a successful result: attempt records, the
-	// job's share of DFS I/O, the finish event, and the history record.
-	complete := func() *Result {
-		cleanupSpills()
-		res.Wall = time.Since(start)
-		io1 := e.fs.IOStats()
-		res.Counters.Get(CounterGroupDFS, CounterDFSBytesRead).Inc(io1.BytesRead - io0.BytesRead)
-		res.Counters.Get(CounterGroupDFS, CounterDFSBytesWritten).Inc(io1.BytesWritten - io0.BytesWritten)
-		res.Counters.Get(CounterGroupDFS, CounterDFSChunksRead).Inc(io1.ChunksRead - io0.ChunksRead)
-		res.Attempts = alog.snapshot()
-		bus.Emit(obs.Event{
-			Type: obs.JobFinished, Job: job.Name, Parent: job.Parent, Dur: res.Wall,
-		})
-		if e.opts.History != nil {
-			// History is diagnostics: a full store must not fail the
-			// job, but a failed store must not vanish either.
-			if _, herr := e.opts.History.Save(res.HistoryRecord()); herr != nil {
-				res.Counters.Get(CounterGroupEngine, CounterHistorySaveErrors).Inc(1)
-			}
-		}
-		return res
-	}
+	return r, nil
+}
 
-	// ---- Map phase ----
-	mapStart := time.Now()
-	bus.Emit(obs.Event{Type: obs.PhaseStart, Job: job.Name, Phase: "map", Time: mapStart})
-	outputs := make([]*mapOutput, len(splits))
-	mapTemps := make([]string, len(splits)) // external map-only temp files
-	reports := make([]TaskReport, len(splits))
-	mapSpecs := make([]TaskSpec, len(splits))
-	for i, sp := range splits {
-		mapSpecs[i] = TaskSpec{
+// runPhase schedules one phase's task specs between its PhaseStart and
+// PhaseEnd events, returning the phase's wall time. The phase is
+// closed even on failure: an unpaired PhaseStart reads as a
+// still-running phase to the tracker and timeline.
+func (r *jobRun) runPhase(phase string, specs []TaskSpec, reports []TaskReport, commit func(i int, tr TaskResult)) (time.Duration, error) {
+	job := r.job
+	start := time.Now()
+	r.bus.Emit(obs.Event{Type: obs.PhaseStart, Job: job.Name, Phase: phase, Time: start})
+	err := r.e.schedule(job, phase, r.alog, specs, r.maxAttempts, r.res.Counters, r.exec, commit, reports)
+	dur := time.Since(start)
+	if err != nil {
+		r.bus.Emit(obs.Event{Type: obs.PhaseEnd, Job: job.Name, Phase: phase, Dur: dur, Err: err.Error()})
+		return 0, fmt.Errorf("mapreduce: job %s: %v", job.Name, err)
+	}
+	r.bus.Emit(obs.Event{Type: obs.PhaseEnd, Job: job.Name, Phase: phase, Dur: dur})
+	return dur, nil
+}
+
+// mapPhase runs one map task per split and returns the winning
+// attempts' results in split order. Only the winning attempt's result
+// is committed — counters, stats and output alike (speculative losers
+// are discarded).
+func (r *jobRun) mapPhase() ([]TaskResult, error) {
+	job, cs := r.job, r.res.Counters
+	specs := make([]TaskSpec, len(r.splits))
+	for i, sp := range r.splits {
+		specs[i] = TaskSpec{
 			Job: job, Phase: "map", TaskID: fmt.Sprintf("map-%04d", i), Index: i,
-			MapOnly: mapOnly, NumReducers: numReducers, ShuffleBudget: budget,
+			MapOnly: r.mapOnly, NumReducers: r.numReducers, ShuffleBudget: r.budget,
 			Split: sp,
 		}
 	}
-	// Only the winning attempt's result is committed — counters, stats
-	// and output alike (speculative losers are discarded).
-	err = e.schedule(job, "map", alog, mapSpecs, maxAttempts, res.Counters, exec, func(i int, tr TaskResult) {
+	results := make([]TaskResult, len(specs))
+	reports := make([]TaskReport, len(specs))
+	wall, err := r.runPhase("map", specs, reports, func(i int, tr TaskResult) {
 		st := tr.Stats
-		res.Counters.Get(CounterGroupTask, CounterMapInputRecords).Inc(st.MapInputRecords)
-		res.Counters.Get(CounterGroupTask, CounterMapOutputRecords).Inc(st.MapOutputRecords)
-		if job.NewCombiner != nil && !mapOnly {
-			res.Counters.Get(CounterGroupTask, CounterCombineInput).Inc(st.CombineInputRecords)
-			res.Counters.Get(CounterGroupTask, CounterCombineOutput).Inc(st.CombineOutputRecords)
+		cs.Get(CounterGroupTask, CounterMapInputRecords).Inc(st.MapInputRecords)
+		cs.Get(CounterGroupTask, CounterMapOutputRecords).Inc(st.MapOutputRecords)
+		if job.NewCombiner != nil && !r.mapOnly {
+			cs.Get(CounterGroupTask, CounterCombineInput).Inc(st.CombineInputRecords)
+			cs.Get(CounterGroupTask, CounterCombineOutput).Inc(st.CombineOutputRecords)
 		}
-		if !mapOnly {
-			res.Counters.Get(CounterGroupShuffle, CounterShuffleSpilledRecords).Inc(st.SpilledRecords)
+		if !r.mapOnly {
+			cs.Get(CounterGroupShuffle, CounterShuffleSpilledRecords).Inc(st.SpilledRecords)
 			if st.SpillFiles > 0 {
-				res.Counters.Get(CounterGroupShuffle, CounterShuffleSpillFiles).Inc(st.SpillFiles)
-				res.Counters.Get(CounterGroupShuffle, CounterShuffleSpillBytes).Inc(st.SpillBytes)
+				cs.Get(CounterGroupShuffle, CounterShuffleSpillFiles).Inc(st.SpillFiles)
+				cs.Get(CounterGroupShuffle, CounterShuffleSpillBytes).Inc(st.SpillBytes)
 			}
 		}
-		mergeUserCounters(res.Counters, tr.UserCounters)
-		switch {
-		case external && mapOnly:
-			mapTemps[i] = tr.OutFile
-		case external:
-			outputs[i] = remoteMapOutput(tr.MapRuns, numReducers)
-		default:
-			outputs[i] = tr.localMap
-		}
+		mergeUserCounters(cs, tr.UserCounters)
+		results[i] = tr
 		reports[i].Records = tr.Records
-	}, reports)
+	})
 	if err != nil {
-		// Close the phase even on failure: an unpaired PhaseStart reads
-		// as a still-running phase to the tracker and timeline.
-		bus.Emit(obs.Event{
-			Type: obs.PhaseEnd, Job: job.Name, Phase: "map",
-			Dur: time.Since(mapStart), Err: err.Error(),
-		})
-		return fail(fmt.Errorf("mapreduce: job %s: %v", job.Name, err))
+		return nil, err
 	}
-	res.MapWall = time.Since(mapStart)
-	bus.Emit(obs.Event{Type: obs.PhaseEnd, Job: job.Name, Phase: "map", Dur: res.MapWall})
+	r.res.MapWall = wall
+	r.res.Tasks = reports
+	return results, nil
+}
 
-	if mapOnly {
-		// Each map task's output becomes a part-m file: written from
-		// memory in-process, renamed from the winner's temp file on an
-		// external executor.
-		for i := range splits {
-			name := fmt.Sprintf("%s/part-m-%05d", job.OutputPath, i)
-			if external {
-				if err := e.fs.Rename(mapTemps[i], name); err != nil {
-					return fail(err)
-				}
-			} else {
-				if err := e.writePartFile(name, outputs[i].parts[0], job.BinaryOutput); err != nil {
-					return fail(err)
-				}
-			}
-			res.OutputFiles = append(res.OutputFiles, name)
-		}
-		res.Tasks = reports
-		return complete(), nil
-	}
-
-	// ---- Shuffle: the only communication step (§III). ----
-	// Sort-based: every map task committed pre-sorted runs per reduce
-	// partition, so the shuffle is a k-way merge per partition, run in
-	// parallel across partitions bounded by the cluster's task slots.
-	shuffleStart := time.Now()
-	res.ReduceTasks = numReducers
+// shuffle plans the only communication step (§III) and returns the
+// sorted runs feeding each reduce partition. Sort-based: every map
+// task committed pre-sorted runs per reduce partition, so the shuffle
+// is a k-way merge per partition. Partitions whose runs all sit in
+// memory are merged eagerly, in parallel bounded by the cluster's task
+// slots; partitions with any file-backed run defer their merge to the
+// reduce attempts, which stream it instead of materialising it. On an
+// external executor every non-empty partition is file-backed.
+func (r *jobRun) shuffle(maps []TaskResult) [][]run {
+	job, n := r.job, r.numReducers
+	start := time.Now()
+	r.res.ReduceTasks = n
 	// Collect every map task's runs per partition, in (map task, spill
 	// sequence) order — the order the merges' tie-break relies on for
-	// stability. Map outputs are released as the shuffle takes
+	// stability. Map results are released as the shuffle takes
 	// ownership, so outputs and merged partitions are never both
 	// retained (peak shuffle memory used to be ~2× intermediate data).
-	sources := make([][]shuffleSource, numReducers)
-	external2 := make([]bool, numReducers)
+	inputs := make([][]run, n)
 	var totalRuns int64
-	for i, out := range outputs {
-		for p := 0; p < numReducers; p++ {
-			if len(out.parts[p]) > 0 {
-				sources[p] = append(sources[p], shuffleSource{mem: out.parts[p]})
+	for i := range maps {
+		for p, kvs := range maps[i].localMap {
+			if len(kvs) > 0 {
+				inputs[p] = append(inputs[p], run{mem: kvs})
 				totalRuns++
 			}
-			if out.fileRuns != nil {
-				for _, fr := range out.fileRuns[p] {
-					sources[p] = append(sources[p], shuffleSource{file: fr})
-					external2[p] = true
-					totalRuns++
-				}
+		}
+		for p, rds := range maps[i].MapRuns {
+			for _, rd := range rds {
+				inputs[p] = append(inputs[p], run{file: rd})
+				totalRuns++
 			}
 		}
-		outputs[i] = nil
+		maps[i] = TaskResult{}
 	}
-	bus.Emit(obs.Event{
-		Type: obs.PhaseStart, Job: job.Name, Phase: "shuffle", Time: shuffleStart,
-		Detail: fmt.Sprintf("partitions=%d runs=%d", numReducers, totalRuns),
+	r.bus.Emit(obs.Event{
+		Type: obs.PhaseStart, Job: job.Name, Phase: "shuffle", Time: start,
+		Detail: fmt.Sprintf("partitions=%d runs=%d", n, totalRuns),
 	})
-	// Partitions whose runs all sit in memory are merged eagerly as
-	// before, bounded by the cluster's task slots; partitions with any
-	// file-backed run defer their merge to the reduce attempts, which
-	// stream it (extPartition.iter) instead of materialising it. On an
-	// external executor every non-empty partition is file-backed.
-	reduceInputs := make([][]KV, numReducers)
-	extParts := make([]*extPartition, numReducers)
-	runCounts := make([]int64, numReducers)
-	recCounts := make([]int64, numReducers)
-	partBytes := make([]int64, numReducers)
-	partDur := make([]time.Duration, numReducers)
-	slots := e.cluster.TotalSlots()
+	runCounts := make([]int64, n)
+	recCounts := make([]int64, n)
+	partBytes := make([]int64, n)
+	partDur := make([]time.Duration, n)
+	slots := r.e.cluster.TotalSlots()
 	if slots < 1 {
 		slots = 1
 	}
 	sem := make(chan struct{}, slots)
 	var mergeWG sync.WaitGroup
-	for p := 0; p < numReducers; p++ {
-		runCounts[p] = int64(len(sources[p]))
-		if external2[p] {
-			ext := &extPartition{sources: sources[p]}
-			for _, s := range sources[p] {
-				if s.file.path != "" {
-					ext.records += s.file.records
-					ext.bytes += s.file.bytes
-					continue
-				}
-				ext.records += int64(len(s.mem))
-				for _, kv := range s.mem {
-					ext.bytes += int64(len(kv.Key) + len(kv.Value))
-				}
+	for p := 0; p < n; p++ {
+		runCounts[p] = int64(len(inputs[p]))
+		if !inMemory(inputs[p]) {
+			for _, rn := range inputs[p] {
+				recCounts[p] += rn.records()
+				partBytes[p] += rn.bytes()
 			}
-			extParts[p] = ext
-			recCounts[p] = ext.records
-			partBytes[p] = ext.bytes
 			continue
 		}
 		mergeWG.Add(1)
@@ -426,22 +338,16 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 			defer mergeWG.Done()
 			defer func() { <-sem }()
 			mergeStart := time.Now()
-			runs := make([][]KV, len(sources[p]))
-			for i, s := range sources[p] {
-				runs[i] = s.mem
-			}
-			merged := mergeRuns(runs, job.KeyCompare)
-			var b int64
-			for _, kv := range merged {
-				b += int64(len(kv.Key) + len(kv.Value))
-			}
-			reduceInputs[p] = merged
-			recCounts[p] = int64(len(merged))
-			partBytes[p] = b
-			partDur[p] = time.Since(mergeStart)
-			// Release the run slices: merged now holds (or, for a lone
+			merged := run{mem: mergeRuns(inputs[p], job.KeyCompare)}
+			// Release the map runs: merged now holds (or, for a lone
 			// run, aliases) the partition's data.
-			sources[p] = nil
+			inputs[p] = nil
+			if len(merged.mem) > 0 {
+				inputs[p] = []run{merged}
+			}
+			recCounts[p] = merged.records()
+			partBytes[p] = merged.bytes()
+			partDur[p] = time.Since(mergeStart)
 		}(p)
 	}
 	mergeWG.Wait()
@@ -449,13 +355,13 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	for _, b := range partBytes {
 		shuffleBytes += b
 	}
-	res.Counters.Get(CounterGroupShuffle, CounterShuffleBytes).Inc(shuffleBytes)
-	res.Counters.Get(CounterGroupShuffle, CounterShuffleRunsMerged).Inc(totalRuns)
-	res.ShuffleWall = time.Since(shuffleStart)
+	r.res.Counters.Get(CounterGroupShuffle, CounterShuffleBytes).Inc(shuffleBytes)
+	r.res.Counters.Get(CounterGroupShuffle, CounterShuffleRunsMerged).Inc(totalRuns)
+	r.res.ShuffleWall = time.Since(start)
 	var parts []obs.PartStat
-	if bus.Active() {
-		parts = make([]obs.PartStat, numReducers)
-		for p := 0; p < numReducers; p++ {
+	if r.bus.Active() {
+		parts = make([]obs.PartStat, n)
+		for p := 0; p < n; p++ {
 			parts[p] = obs.PartStat{
 				Part:    p,
 				Runs:    runCounts[p],
@@ -465,108 +371,143 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 			}
 		}
 	}
-	bus.Emit(obs.Event{
-		Type: obs.PhaseEnd, Job: job.Name, Phase: "shuffle", Dur: res.ShuffleWall,
+	r.bus.Emit(obs.Event{
+		Type: obs.PhaseEnd, Job: job.Name, Phase: "shuffle", Dur: r.res.ShuffleWall,
 		Value: shuffleBytes, Detail: shuffleDetail(runCounts, recCounts, partBytes),
 		Parts: parts,
 	})
-
-	// ---- Reduce phase ----
-	reduceStart := time.Now()
-	bus.Emit(obs.Event{Type: obs.PhaseStart, Job: job.Name, Phase: "reduce", Time: reduceStart})
-	reduceReports := make([]TaskReport, numReducers)
-	reduceSpecs := make([]TaskSpec, numReducers) // no locality: reducers read from all mappers
-	for r := 0; r < numReducers; r++ {
-		reduceSpecs[r] = TaskSpec{
-			Job: job, Phase: "reduce", TaskID: fmt.Sprintf("reduce-%04d", r), Index: r,
-			NumReducers: numReducers, ShuffleBudget: budget, Partition: r,
-		}
-		if external {
-			if ext := extParts[r]; ext != nil {
-				runs := make([]RunDesc, 0, len(ext.sources))
-				for _, s := range ext.sources {
-					runs = append(runs, RunDesc{Path: s.file.path, Records: s.file.records, Bytes: s.file.bytes})
-				}
-				reduceSpecs[r].Runs = runs
-			}
-		}
-	}
-	if lx != nil {
-		// Hand the in-process executor the shuffle's product: eagerly
-		// merged partitions and deferred file-backed ones.
-		lx.reduceInputs, lx.extParts = reduceInputs, extParts
-	}
-	partFiles := make([][]KV, numReducers)
-	reduceTemps := make([]string, numReducers)
-	err = e.schedule(job, "reduce", alog, reduceSpecs, maxAttempts, res.Counters, exec, func(r int, tr TaskResult) {
-		st := tr.Stats
-		res.Counters.Get(CounterGroupTask, CounterReduceInputRecords).Inc(st.ReduceInputRecords)
-		res.Counters.Get(CounterGroupTask, CounterReduceOutput).Inc(st.ReduceOutputRecords)
-		res.Counters.Get(CounterGroupTask, CounterReduceInputGroups).Inc(st.ReduceInputGroups)
-		mergeUserCounters(res.Counters, tr.UserCounters)
-		partFiles[r] = tr.localReduce
-		reduceTemps[r] = tr.OutFile
-		reduceReports[r].Records = tr.Records
-	}, reduceReports)
-	if err != nil {
-		bus.Emit(obs.Event{
-			Type: obs.PhaseEnd, Job: job.Name, Phase: "reduce",
-			Dur: time.Since(reduceStart), Err: err.Error(),
-		})
-		return fail(fmt.Errorf("mapreduce: job %s: %v", job.Name, err))
-	}
-	res.ReduceWall = time.Since(reduceStart)
-	bus.Emit(obs.Event{Type: obs.PhaseEnd, Job: job.Name, Phase: "reduce", Dur: res.ReduceWall})
-
-	for r := 0; r < numReducers; r++ {
-		name := fmt.Sprintf("%s/part-r-%05d", job.OutputPath, r)
-		if external {
-			if err := e.fs.Rename(reduceTemps[r], name); err != nil {
-				return fail(err)
-			}
-		} else {
-			if err := e.writePartFile(name, partFiles[r], job.BinaryOutput); err != nil {
-				return fail(err)
-			}
-		}
-		res.OutputFiles = append(res.OutputFiles, name)
-	}
-	res.Tasks = append(reports, reduceReports...)
-	return complete(), nil
+	return inputs
 }
 
-// runReduce feeds each distinct-key group of a sorted record stream to
-// the reducer (used for both real reducers and combiners). The input
-// iterator must yield records in non-decreasing key order; grouping is
-// streaming, so the whole input is never copied or re-sorted. If
-// groupCount is non-nil it receives the number of distinct keys.
-// Counters are the caller's responsibility (only winning attempts
-// commit them).
-func runReduce(ctx *TaskContext, red Reducer, it kvIter, groupCount *int64, cmp func(a, b string) int) ([]KV, error) {
-	var out []KV
-	emit := func(k, v string) { out = append(out, KV{k, v}) }
-	if err := red.Setup(ctx); err != nil {
-		return nil, fmt.Errorf("setup: %v", err)
-	}
-	g := newGroupIter(it, cmp)
-	var groups int64
-	for {
-		key, values, ok := g.next()
-		if !ok {
-			break
+// inMemory reports whether every run is held in memory.
+func inMemory(runs []run) bool {
+	for _, rn := range runs {
+		if rn.file.Path != "" {
+			return false
 		}
-		if err := red.Reduce(ctx, key, values, emit); err != nil {
-			return nil, err
+	}
+	return true
+}
+
+// reducePhase runs one reduce task per partition over the shuffle's
+// runs and returns the winning attempts' results in partition order.
+func (r *jobRun) reducePhase(inputs [][]run) ([]TaskResult, error) {
+	job, cs := r.job, r.res.Counters
+	specs := make([]TaskSpec, r.numReducers) // no locality: reducers read from all mappers
+	for p := range specs {
+		specs[p] = TaskSpec{
+			Job: job, Phase: "reduce", TaskID: fmt.Sprintf("reduce-%04d", p), Index: p,
+			NumReducers: r.numReducers, ShuffleBudget: r.budget, Partition: p,
 		}
-		groups++
 	}
-	if err := red.Cleanup(ctx, emit); err != nil {
-		return nil, fmt.Errorf("cleanup: %v", err)
+	if r.local != nil {
+		r.local.inputs = inputs
+	} else {
+		// Out of process every run is file-backed and travels in the spec.
+		for p, runs := range inputs {
+			for _, rn := range runs {
+				specs[p].Runs = append(specs[p].Runs, rn.file)
+			}
+		}
 	}
-	if groupCount != nil {
-		*groupCount = groups
+	results := make([]TaskResult, len(specs))
+	reports := make([]TaskReport, len(specs))
+	wall, err := r.runPhase("reduce", specs, reports, func(p int, tr TaskResult) {
+		st := tr.Stats
+		cs.Get(CounterGroupTask, CounterReduceInputRecords).Inc(st.ReduceInputRecords)
+		cs.Get(CounterGroupTask, CounterReduceOutput).Inc(st.ReduceOutputRecords)
+		cs.Get(CounterGroupTask, CounterReduceInputGroups).Inc(st.ReduceInputGroups)
+		mergeUserCounters(cs, tr.UserCounters)
+		results[p] = tr
+		reports[p].Records = tr.Records
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	r.res.ReduceWall = wall
+	r.res.Tasks = append(r.res.Tasks, reports...)
+	return results, nil
+}
+
+// commit renames each winning attempt's temp output into its part file
+// (part-m-NNNNN for a map-only job, part-r-NNNNN otherwise), in task
+// order.
+func (r *jobRun) commit(results []TaskResult) error {
+	kind := 'r'
+	if r.mapOnly {
+		kind = 'm'
+	}
+	for i, tr := range results {
+		name := fmt.Sprintf("%s/part-%c-%05d", r.job.OutputPath, kind, i)
+		if err := r.e.fs.Rename(tr.OutFile, name); err != nil {
+			return err
+		}
+		r.res.OutputFiles = append(r.res.OutputFiles, name)
+	}
+	return nil
+}
+
+// cleanup removes the job's uncommitted task temp outputs and, when
+// it may have spilled, its shuffle run files. Cleanup is best-effort —
+// a stuck delete must not change the job's outcome — but failures are
+// counted, never dropped. Background speculative losers may still be
+// streaming a spill file here; their read error is discarded with the
+// rest of the losing attempt.
+func (r *jobRun) cleanup() {
+	cs := r.res.Counters
+	if derr := r.e.fs.DeleteDir(tmpDir(r.job.Name)); derr != nil {
+		cs.Get(CounterGroupShuffle, CounterShuffleSpillCleanupErrors).Inc(1)
+	}
+	if r.mapOnly || (r.budget <= 0 && !r.exec.External()) {
+		return
+	}
+	if derr := r.e.fs.DeleteDir(spillDir(r.job)); derr != nil {
+		cs.Get(CounterGroupShuffle, CounterShuffleSpillCleanupErrors).Inc(1)
+	}
+}
+
+// fail reports the job's failure on the bus before returning it. Any
+// part files already committed are removed first — the output-exists
+// check at submission guarantees everything under OutputPath was
+// written by this job, and leaving partial output behind would make a
+// rerun of the same job fail on that very check.
+func (r *jobRun) fail(err error) (*Result, error) {
+	job := r.job
+	r.cleanup()
+	if derr := r.e.fs.DeleteDir(job.OutputPath); derr != nil {
+		// A rerun would now trip the output-exists check; make the
+		// stuck cleanup part of the reported failure.
+		err = fmt.Errorf("%v (cleaning partial output: %v)", err, derr)
+	}
+	r.bus.Emit(obs.Event{
+		Type: obs.JobFinished, Job: job.Name, Parent: job.Parent,
+		Dur: time.Since(r.res.Start), Err: err.Error(),
+	})
+	return nil, err
+}
+
+// complete finalises a successful result: attempt records, the job's
+// share of DFS I/O, the finish event, and the history record.
+func (r *jobRun) complete() *Result {
+	res := r.res
+	r.cleanup()
+	res.Wall = time.Since(res.Start)
+	io1 := r.e.fs.IOStats()
+	res.Counters.Get(CounterGroupDFS, CounterDFSBytesRead).Inc(io1.BytesRead - r.io0.BytesRead)
+	res.Counters.Get(CounterGroupDFS, CounterDFSBytesWritten).Inc(io1.BytesWritten - r.io0.BytesWritten)
+	res.Counters.Get(CounterGroupDFS, CounterDFSChunksRead).Inc(io1.ChunksRead - r.io0.ChunksRead)
+	res.Attempts = r.alog.snapshot()
+	r.bus.Emit(obs.Event{
+		Type: obs.JobFinished, Job: r.job.Name, Parent: r.job.Parent, Dur: res.Wall,
+	})
+	if h := r.e.opts.History; h != nil {
+		// History is diagnostics: a full store must not fail the job,
+		// but a failed store must not vanish either.
+		if _, herr := h.Save(res.HistoryRecord()); herr != nil {
+			res.Counters.Get(CounterGroupEngine, CounterHistorySaveErrors).Inc(1)
+		}
+	}
+	return res
 }
 
 // shuffleDetail renders the per-partition merge summary carried on the
@@ -608,11 +549,6 @@ func encodePartFile(kvs []KV, binary bool) []byte {
 		sb.WriteByte('\n')
 	}
 	return []byte(sb.String())
-}
-
-// writePartFile stores records in DFS as one part file.
-func (e *Engine) writePartFile(path string, kvs []KV, binary bool) error {
-	return e.fs.Create(path, encodePartFile(kvs, binary), "")
 }
 
 // ReadOutput reads back all part files of a completed job's output

@@ -1218,3 +1218,52 @@ func TestTaskOverheadSlowsJobs(t *testing.T) {
 		t.Fatalf("overhead did not slow the job: %v vs %v", slow, fast)
 	}
 }
+
+// countingMapper ticks a user counter per word and fails its Cleanup
+// on the first attempt of map-0000, after every tick has landed.
+type countingMapper struct{ MapperBase }
+
+func (countingMapper) Map(ctx *TaskContext, _, value string, emit Emit) error {
+	for _, w := range strings.Fields(value) {
+		ctx.Counter("user", "words").Inc(1)
+		emit(w, "1")
+	}
+	return nil
+}
+
+func (countingMapper) Cleanup(ctx *TaskContext, _ Emit) error {
+	if ctx.TaskID == "map-0000" && ctx.Attempt == 0 {
+		return fmt.Errorf("injected cleanup failure")
+	}
+	return nil
+}
+
+// TestUserCountersWinnerOnly checks that a failed attempt's user
+// counter ticks never reach the job total: only the winning attempt's
+// counters are committed, as on the RPC backend.
+func TestUserCountersWinnerOnly(t *testing.T) {
+	e := newTestEngine(t, 1<<20)
+	writeInput(t, e, "in/f", strings.Repeat("w0 w1 w2 w3 w4 w5 w6 w7 w8 w9\n", 3))
+	res, err := e.Run(&Job{
+		Name:       "winner-only",
+		InputPaths: []string{"in/f"},
+		OutputPath: "out",
+		NewMapper:  func() Mapper { return countingMapper{} },
+		NewReducer: func() Reducer { return sumReducer{} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, a := range res.Attempts {
+		if a.Status == "failed" {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("failed attempts = %d, want 1", failed)
+	}
+	if n := res.Counters.Value("user", "words"); n != 30 {
+		t.Fatalf("user counter words = %d, want 30 (winner only)", n)
+	}
+}

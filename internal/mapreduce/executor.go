@@ -10,14 +10,12 @@ package mapreduce
 
 import (
 	"context"
-	"fmt"
 	"time"
-
-	"repro/internal/dfs"
 )
 
-// RunDesc describes one file-backed sorted run in the DFS — the wire
-// form of a spillRun, exported so task results cross process
+// RunDesc describes one file-backed sorted run of a single reduce
+// partition in the DFS: a map task's spill, or on an out-of-process
+// executor any map output. Exported so task results cross process
 // boundaries.
 type RunDesc struct {
 	Path    string
@@ -56,8 +54,9 @@ type TaskSpec struct {
 	Split InputSplit
 	// Partition is the reduce task's partition number.
 	Partition int
-	// Runs are the file-backed sorted runs feeding a reduce task on an
-	// external executor (every map output is file-backed there).
+	// Runs are the sorted runs feeding a reduce task on an external
+	// executor (every map output is file-backed there). The in-process
+	// executor reads the shuffle's plan, in-memory runs included.
 	Runs []RunDesc
 }
 
@@ -78,27 +77,26 @@ type TaskStats struct {
 }
 
 // TaskResult is one attempt's output. The exported fields survive gob
-// encoding; the local* fields are the in-process fast path (pointers
-// into driver memory) and never cross a process boundary.
+// encoding; localMap is the in-process fast path (runs held in driver
+// memory) and never crosses a process boundary.
 type TaskResult struct {
 	// Records is the number of input records processed.
 	Records int64
-	// MapRuns lists a map task's spilled runs per reduce partition
-	// (external executors only; every partition is file-backed there).
+	// MapRuns lists a map task's file-backed runs per reduce partition:
+	// its spills, or on an external executor every partition.
 	MapRuns [][]RunDesc
 	// OutFile is the attempt-unique temp file holding a reduce or
-	// map-only task's final output (external executors only). The
-	// driver renames the winner's into place; losers' temps are swept
-	// with the job's temp directory.
+	// map-only task's final output. The driver renames the winner's
+	// into place; losers' temps are swept with the job's temp
+	// directory.
 	OutFile string
 	// Stats are the attempt's counter deltas, committed winner-only.
 	Stats TaskStats
-	// UserCounters snapshots counters ticked by user task code on an
-	// external executor, merged into the job's counters winner-only.
+	// UserCounters snapshots the counters the attempt's user code
+	// ticked, merged into the job's counters winner-only.
 	UserCounters map[string]map[string]int64
 
-	localMap    *mapOutput // in-process map output (mem and/or file runs)
-	localReduce []KV       // in-process reduce output
+	localMap [][]KV // in-process map output: sorted runs per partition, unless spilled
 }
 
 // Executor runs task attempts for the scheduler.
@@ -107,10 +105,11 @@ type Executor interface {
 	// cancelled when the phase ends, releasing executors that block on
 	// remote completion (losing speculative attempts are abandoned).
 	RunTask(ctx context.Context, spec TaskSpec) (TaskResult, error)
-	// External reports whether results live outside driver memory —
-	// map outputs as DFS run files, reduce outputs as DFS temp files —
-	// in which case the engine plans an all-file shuffle and commits
-	// outputs by rename.
+	// External reports whether attempts run out of process. Their map
+	// output cannot stay in driver memory, so every partition is
+	// spilled to DFS run files, and the scheduler releases abandoned
+	// attempts by cancelling the phase context instead of joining
+	// them.
 	External() bool
 }
 
@@ -122,25 +121,13 @@ type jobScoped interface {
 }
 
 // localExecutor is the in-process backend: tasks run as goroutines on
-// the scheduler's slot workers, exactly as the monolithic engine did.
-// It carries the per-job state the phases share (the live counters,
-// and the shuffle's merged partitions between map and reduce).
+// the scheduler's slot workers, through the same attempt body a remote
+// worker runs, keeping map output in memory unless a budget spills it.
 type localExecutor struct {
-	e           *Engine
-	job         *Job
-	mapOnly     bool
-	numReducers int
-	partition   func(key string, numReducers int) int
-	budget      int64
-	// counters is the job's live counter registry. Task code ticks it
-	// directly — losing speculative attempts included, preserving the
-	// engine's historical user-counter semantics.
-	counters *Counters
-	// reduceInputs / extParts are set by the engine between the map
-	// and reduce phases (eagerly merged partitions, and deferred
-	// file-backed ones).
-	reduceInputs [][]KV
-	extParts     []*extPartition
+	e *Engine
+	// inputs are the runs the shuffle planned per reduce partition, set
+	// by the engine between the map and reduce phases.
+	inputs [][]run
 }
 
 func (x *localExecutor) External() bool { return false }
@@ -155,95 +142,14 @@ func (x *localExecutor) RunTask(_ context.Context, spec TaskSpec) (TaskResult, e
 	if e.opts.TaskOverhead > 0 {
 		time.Sleep(e.opts.TaskOverhead)
 	}
-	ctx := &TaskContext{
-		JobName: x.job.Name, TaskID: spec.TaskID, Attempt: spec.Attempt, Node: spec.Node,
-		conf: x.job.Conf, cache: x.job.Cache, counters: x.counters,
+	var runs []run
+	if spec.Phase == "reduce" {
+		runs = x.inputs[spec.Partition]
 	}
-	if spec.Phase == "map" {
-		out, records, sp, err := execMapAttempt(e.fs, x.job, ctx, spec, x.partition, x.budget, false)
-		if err != nil {
-			return TaskResult{}, err
-		}
-		return TaskResult{Records: records, Stats: sp.stats(records), localMap: out}, nil
-	}
-	return x.runReduceAttempt(ctx, spec)
+	return executeTask(e.fs, spec, runs, false)
 }
 
-// runReduceAttempt consumes the partition through a streaming group
-// iterator; each attempt gets its own cursor — over the shared
-// read-only merged slice, or, for an external partition, a fresh k-way
-// merge with its own file cursors — so concurrent speculative attempts
-// need no defensive copy and nobody re-sorts.
-func (x *localExecutor) runReduceAttempt(ctx *TaskContext, spec TaskSpec) (TaskResult, error) {
-	job, r := x.job, spec.Partition
-	var groups, inRecords int64
-	var out []KV
-	var err error
-	if ext := x.extParts[r]; ext != nil {
-		it, ierr := ext.iter(x.e.fs, job.KeyCompare)
-		if ierr != nil {
-			return TaskResult{}, fmt.Errorf("%s: %v", spec.TaskID, ierr)
-		}
-		out, err = runReduce(ctx, job.NewReducer(), it, &groups, job.KeyCompare)
-		if err == nil {
-			// The merge stream has no error channel; a spill-file
-			// read failure ends it early and surfaces here.
-			err = it.Err()
-		}
-		inRecords = ext.records
-	} else {
-		out, err = runReduce(ctx, job.NewReducer(), &sliceIter{kvs: x.reduceInputs[r]}, &groups, job.KeyCompare)
-		inRecords = int64(len(x.reduceInputs[r]))
-	}
-	if err != nil {
-		return TaskResult{}, fmt.Errorf("%s: %v", spec.TaskID, err)
-	}
-	return TaskResult{
-		Records:     inRecords,
-		localReduce: out,
-		Stats: TaskStats{
-			ReduceInputRecords:  inRecords,
-			ReduceOutputRecords: int64(len(out)),
-			ReduceInputGroups:   groups,
-		},
-	}, nil
-}
-
-// execMapAttempt is the map-attempt body shared by the in-process
-// executor and the worker-side ExecuteTask: feed the split through the
-// mapper into a spiller, seal the output. With forceSpill every
-// partition ends file-backed (the RPC backend's only way to move
-// intermediate data between processes).
-func execMapAttempt(store dfs.Store, job *Job, ctx *TaskContext, spec TaskSpec, partition func(string, int) int, budget int64, forceSpill bool) (*mapOutput, int64, *mapSpiller, error) {
-	// The spiller owns the partitioned output buffer: with no budget it
-	// reduces to the legacy commit-time sort+combine (Hadoop's map-side
-	// spill sort — the shuffle then only merges pre-sorted runs and the
-	// reducers never re-sort); with a budget it additionally writes
-	// sorted+combined run files to DFS whenever the buffer trips it.
-	sp := newMapSpiller(store, job, ctx, spec.TaskID, spec.Attempt, spec.Node, spec.MapOnly, spec.NumReducers, partition, budget, forceSpill)
-	m := job.NewMapper()
-	if err := m.Setup(ctx); err != nil {
-		return nil, 0, nil, fmt.Errorf("%s setup: %v", spec.TaskID, err)
-	}
-	var records int64
-	err := readSplit(store, spec.Split, func(key, value string) error {
-		records++
-		return m.Map(ctx, key, value, sp.emit)
-	})
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("%s: %v", spec.TaskID, err)
-	}
-	if err := m.Cleanup(ctx, sp.emit); err != nil {
-		return nil, 0, nil, fmt.Errorf("%s cleanup: %v", spec.TaskID, err)
-	}
-	out, err := sp.finish()
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("%s: %v", spec.TaskID, err)
-	}
-	return out, records, sp, nil
-}
-
-// mergeUserCounters folds a remote attempt's counter snapshot into the
+// mergeUserCounters folds an attempt's counter snapshot into the
 // job's registry (winner-only: the scheduler calls commit exactly once
 // per task).
 func mergeUserCounters(cs *Counters, snap map[string]map[string]int64) {

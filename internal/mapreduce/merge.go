@@ -2,7 +2,11 @@ package mapreduce
 
 import (
 	"container/heap"
+	"fmt"
 	"sort"
+
+	"repro/internal/dfs"
+	"repro/internal/recordio"
 )
 
 // This file implements the sort-based shuffle's merge machinery,
@@ -11,8 +15,11 @@ import (
 // file), the shuffle performs a k-way merge of the pre-sorted runs per
 // reduce partition, and the reducer consumes a streaming group
 // iterator over the merged stream — no reduce-side re-sort, and no
-// defensive copy for concurrent speculative attempts, which share the
-// merged slice read-only.
+// defensive copy for concurrent speculative attempts, which each get
+// their own cursors over runs they share read-only.
+//
+// A run lives in memory or in a DFS file; one merge iterator handles
+// any mix of the two.
 //
 // Every stage takes an optional key comparator (Job.KeyCompare,
 // Hadoop's RawComparator). A nil comparator means plain byte order on
@@ -32,35 +39,63 @@ func sortRun(kvs []KV, cmp func(a, b string) int) {
 	sort.SliceStable(kvs, func(i, j int) bool { return cmp(kvs[i].Key, kvs[j].Key) < 0 })
 }
 
-// kvIter yields key-value records in non-decreasing key order.
-type kvIter interface {
-	next() (KV, bool)
+// run is one sorted run feeding a merge: an in-memory slice, or a
+// file-backed run in the DFS when file.Path is set.
+type run struct {
+	mem  []KV
+	file RunDesc
 }
 
-// sliceIter iterates an already-sorted slice.
-type sliceIter struct {
-	kvs []KV
-	pos int
-}
-
-func (s *sliceIter) next() (KV, bool) {
-	if s.pos >= len(s.kvs) {
-		return KV{}, false
+// records is the run's record count.
+func (r run) records() int64 {
+	if r.file.Path != "" {
+		return r.file.Records
 	}
-	kv := s.kvs[s.pos]
-	s.pos++
-	return kv, true
+	return int64(len(r.mem))
 }
 
-// runCursor is one sorted run's read position inside the merge heap.
-// ord is the run's position in the input order; it breaks key ties so
-// the merge is stable across runs (records of equal keys come out in
-// map-task order, exactly as the concat-then-stable-sort shuffle
-// produced them).
+// bytes is the run's raw key+value byte count.
+func (r run) bytes() int64 {
+	if r.file.Path != "" {
+		return r.file.Bytes
+	}
+	var b int64
+	for _, kv := range r.mem {
+		b += int64(len(kv.Key) + len(kv.Value))
+	}
+	return b
+}
+
+// runCursor is one run's read position inside the merge heap: cur is
+// the run's current record, read from the unread tail of mem or from
+// a file reader holding one fetch window. ord is the run's position in
+// the input order; it breaks key ties so the merge is stable across
+// runs (records of equal keys come out in map-task order, exactly as
+// the concat-then-stable-sort shuffle produced them).
 type runCursor struct {
-	run []KV
-	pos int
-	ord int
+	mem  []KV
+	file *recordio.FileReader // nil for an in-memory run
+	path string
+	cur  KV
+	ord  int
+}
+
+// advance loads the run's next record into cur, reporting false at
+// the end of the run.
+func (c *runCursor) advance() (bool, error) {
+	if c.file == nil {
+		if len(c.mem) == 0 {
+			return false, nil
+		}
+		c.cur, c.mem = c.mem[0], c.mem[1:]
+		return true, nil
+	}
+	k, v, ok, err := c.file.Next()
+	if err != nil {
+		return false, fmt.Errorf("spill run %s: %v", c.path, err)
+	}
+	c.cur = KV{Key: k, Value: v}
+	return ok, nil
 }
 
 // runHeap is a min-heap of run cursors ordered by (current key, ord)
@@ -74,7 +109,7 @@ func (h *runHeap) Len() int { return len(h.cursors) }
 
 func (h *runHeap) Less(i, j int) bool {
 	ci, cj := h.cursors[i], h.cursors[j]
-	ki, kj := ci.run[ci.pos].Key, cj.run[cj.pos].Key
+	ki, kj := ci.cur.Key, cj.cur.Key
 	if h.cmp == nil {
 		if ki != kj {
 			return ki < kj
@@ -98,22 +133,51 @@ func (h *runHeap) Pop() any {
 	return x
 }
 
-// mergeIter streams the k-way merge of pre-sorted runs.
+// mergeIter streams the k-way merge of sorted runs. next has no error
+// channel, so a failure to open or read a file-backed run stops the
+// stream and is surfaced through Err; everything consumed from a
+// stream whose Err is non-nil is suspect.
 type mergeIter struct {
-	h runHeap
+	h   runHeap
+	err error
 }
 
-// newMergeIter builds a merge iterator over the given runs. Each run
-// must already be sorted under cmp; empty runs are skipped.
-func newMergeIter(runs [][]KV, cmp func(a, b string) int) *mergeIter {
-	h := runHeap{cursors: make([]*runCursor, 0, len(runs)), cmp: cmp}
+// newMergeIter opens a cursor on every non-empty run and primes its
+// first record. Runs must already be sorted under cmp; fs serves the
+// file-backed runs and may be nil when every run is in memory. Each
+// iterator owns its cursors and fetch windows, so concurrent
+// speculative attempts never share read state.
+func newMergeIter(fs dfs.Store, runs []run, cmp func(a, b string) int) *mergeIter {
+	m := &mergeIter{h: runHeap{cursors: make([]*runCursor, 0, len(runs)), cmp: cmp}}
+	cursors := make([]runCursor, len(runs))
 	for ord, r := range runs {
-		if len(r) > 0 {
-			h.cursors = append(h.cursors, &runCursor{run: r, ord: ord})
+		c := &cursors[ord]
+		c.mem, c.ord = r.mem, ord
+		if r.file.Path != "" {
+			f, err := openSpillRun(fs, r.file.Path)
+			if err != nil {
+				m.fail(err)
+				return m
+			}
+			c.file, c.path = f, r.file.Path
+		}
+		ok, err := c.advance()
+		if err != nil {
+			m.fail(err)
+			return m
+		}
+		if ok {
+			m.h.cursors = append(m.h.cursors, c)
 		}
 	}
-	heap.Init(&h)
-	return &mergeIter{h: h}
+	heap.Init(&m.h)
+	return m
+}
+
+// fail ends the stream with err.
+func (m *mergeIter) fail(err error) {
+	m.err = err
+	m.h.cursors = nil
 }
 
 func (m *mergeIter) next() (KV, bool) {
@@ -121,14 +185,37 @@ func (m *mergeIter) next() (KV, bool) {
 		return KV{}, false
 	}
 	c := m.h.cursors[0]
-	kv := c.run[c.pos]
-	c.pos++
-	if c.pos == len(c.run) {
+	kv := c.cur
+	ok, err := c.advance()
+	switch {
+	case err != nil:
+		m.fail(err)
+	case !ok:
 		heap.Pop(&m.h)
-	} else {
+	case len(m.h.cursors) > 1:
+		// A lone run is already in order; only a real merge reorders.
 		heap.Fix(&m.h, 0)
 	}
 	return kv, true
+}
+
+// Err reports the first run open or read error, if any.
+func (m *mergeIter) Err() error { return m.err }
+
+// openSpillRun opens one file-backed run for streaming through ranged
+// DFS reads, holding one fetch window rather than the file.
+func openSpillRun(fs dfs.Store, path string) (*recordio.FileReader, error) {
+	size, err := fs.Size(path)
+	if err != nil {
+		return nil, fmt.Errorf("spill run %s: %v", path, err)
+	}
+	r, err := recordio.NewFileReader(size, func(off, n int64) ([]byte, error) {
+		return fs.ReadRange(path, off, n)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("spill run %s: %v", path, err)
+	}
+	return r, nil
 }
 
 // MergeRuns merges pre-sorted runs into one sorted slice under plain
@@ -142,18 +229,23 @@ func (m *mergeIter) next() (KV, bool) {
 // copying; callers must treat the inputs as consumed and the output as
 // read-only. Exported for benchmarks and downstream tooling.
 func MergeRuns(runs [][]KV) []KV {
-	return mergeRuns(runs, nil)
+	rs := make([]run, len(runs))
+	for i, r := range runs {
+		rs[i].mem = r
+	}
+	return mergeRuns(rs, nil)
 }
 
-// mergeRuns is MergeRuns under an optional custom key comparator.
-func mergeRuns(runs [][]KV, cmp func(a, b string) int) []KV {
+// mergeRuns drains the merge of in-memory runs into one slice under an
+// optional custom key comparator, aliasing a lone non-empty run.
+func mergeRuns(runs []run, cmp func(a, b string) int) []KV {
 	var last []KV
 	nonEmpty, total := 0, 0
 	for _, r := range runs {
-		if len(r) > 0 {
+		if len(r.mem) > 0 {
 			nonEmpty++
-			total += len(r)
-			last = r
+			total += len(r.mem)
+			last = r.mem
 		}
 	}
 	switch nonEmpty {
@@ -163,127 +255,25 @@ func mergeRuns(runs [][]KV, cmp func(a, b string) int) []KV {
 		return last
 	}
 	out := make([]KV, 0, total)
-	it := newMergeIter(runs, cmp)
+	it := newMergeIter(nil, runs, cmp)
 	for kv, ok := it.next(); ok; kv, ok = it.next() {
 		out = append(out, kv)
 	}
 	return out
 }
 
-// pullFunc yields the successive records of one sorted run — the
-// file-backed generalisation of a runCursor. ok=false ends the run
-// cleanly; an error (a failed spill-file read) aborts the merge.
-type pullFunc func() (KV, bool, error)
-
-// pullCursor is one pull-based run's position inside the merge heap.
-// ord breaks key ties by run input order, exactly like runCursor, so
-// the external merge stays stable across runs.
-type pullCursor struct {
-	next pullFunc
-	cur  KV
-	ord  int
-}
-
-// pullHeap is runHeap over pull cursors.
-type pullHeap struct {
-	cursors []*pullCursor
-	cmp     func(a, b string) int
-}
-
-func (h *pullHeap) Len() int { return len(h.cursors) }
-
-func (h *pullHeap) Less(i, j int) bool {
-	ci, cj := h.cursors[i], h.cursors[j]
-	ki, kj := ci.cur.Key, cj.cur.Key
-	if h.cmp == nil {
-		if ki != kj {
-			return ki < kj
-		}
-	} else if c := h.cmp(ki, kj); c != 0 {
-		return c < 0
-	}
-	return ci.ord < cj.ord
-}
-
-func (h *pullHeap) Swap(i, j int) { h.cursors[i], h.cursors[j] = h.cursors[j], h.cursors[i] }
-
-func (h *pullHeap) Push(x any) { h.cursors = append(h.cursors, x.(*pullCursor)) }
-
-func (h *pullHeap) Pop() any {
-	old := h.cursors
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	h.cursors = old[:n-1]
-	return x
-}
-
-// extMergeIter streams the k-way merge of pull-based sorted runs —
-// the external shuffle's counterpart of mergeIter, where runs live in
-// DFS spill files instead of slices. kvIter.next has no error channel,
-// so a run read error stops the stream immediately and is surfaced
-// through Err; callers must check Err after draining and before
-// committing any result derived from the stream.
-type extMergeIter struct {
-	h   pullHeap
-	err error
-}
-
-// newExtMergeIter primes one record from every run. Runs must already
-// be sorted under cmp; empty runs are skipped.
-func newExtMergeIter(pulls []pullFunc, cmp func(a, b string) int) (*extMergeIter, error) {
-	h := pullHeap{cursors: make([]*pullCursor, 0, len(pulls)), cmp: cmp}
-	for ord, pull := range pulls {
-		kv, ok, err := pull()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		h.cursors = append(h.cursors, &pullCursor{next: pull, cur: kv, ord: ord})
-	}
-	heap.Init(&h)
-	return &extMergeIter{h: h}, nil
-}
-
-func (m *extMergeIter) next() (KV, bool) {
-	if m.err != nil || len(m.h.cursors) == 0 {
-		return KV{}, false
-	}
-	c := m.h.cursors[0]
-	kv := c.cur
-	nkv, ok, err := c.next()
-	switch {
-	case err != nil:
-		m.err = err
-		m.h.cursors = nil
-	case ok:
-		c.cur = nkv
-		heap.Fix(&m.h, 0)
-	default:
-		heap.Pop(&m.h)
-	}
-	return kv, true
-}
-
-// Err reports the first run read error, if any. A non-nil Err means
-// the stream ended early and everything consumed from it is suspect.
-func (m *extMergeIter) Err() error { return m.err }
-
-// groupIter turns a sorted kv stream into (key, values) groups, the
-// unit a Reducer consumes. It buffers only one group at a time. Group
-// boundaries fall where the comparator (nil = byte equality) says two
-// adjacent keys differ.
+// groupIter turns a merged record stream into (key, values) groups,
+// the unit a Reducer consumes. It buffers only one group at a time.
+// Group boundaries fall where the stream's comparator (nil = byte
+// equality) says two adjacent keys differ.
 type groupIter struct {
-	it  kvIter
-	cmp func(a, b string) int
+	it  *mergeIter
 	cur KV
 	ok  bool
 }
 
-func newGroupIter(it kvIter, cmp func(a, b string) int) *groupIter {
-	g := &groupIter{it: it, cmp: cmp}
+func newGroupIter(it *mergeIter) *groupIter {
+	g := &groupIter{it: it}
 	g.cur, g.ok = it.next()
 	return g
 }
@@ -306,8 +296,8 @@ func (g *groupIter) next() (key string, values []string, ok bool) {
 }
 
 func (g *groupIter) keyChanged(key string) bool {
-	if g.cmp == nil {
-		return g.cur.Key != key
+	if cmp := g.it.h.cmp; cmp != nil {
+		return cmp(g.cur.Key, key) != 0
 	}
-	return g.cmp(g.cur.Key, key) != 0
+	return g.cur.Key != key
 }

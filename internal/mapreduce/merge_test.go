@@ -48,7 +48,7 @@ func TestMergeRunsStableAcrossRuns(t *testing.T) {
 
 func TestGroupIterGroupsSortedStream(t *testing.T) {
 	in := []KV{{"a", "1"}, {"a", "2"}, {"b", "3"}, {"c", "4"}, {"c", "5"}, {"c", "6"}}
-	g := newGroupIter(&sliceIter{kvs: in}, nil)
+	g := newGroupIter(newMergeIter(nil, []run{{mem: in}}, nil))
 	type group struct {
 		key    string
 		values []string
@@ -68,7 +68,7 @@ func TestGroupIterGroupsSortedStream(t *testing.T) {
 }
 
 func TestGroupIterEmpty(t *testing.T) {
-	g := newGroupIter(&sliceIter{}, nil)
+	g := newGroupIter(newMergeIter(nil, nil, nil))
 	if _, _, ok := g.next(); ok {
 		t.Fatal("empty stream yielded a group")
 	}

@@ -1,16 +1,16 @@
-// Map-side spill-to-DFS and the external shuffle, the memory-bounded
-// path behind Job.MaxShuffleBytes. A map task buffers emitted records
-// per reduce partition as before, but tracks the raw key+value bytes;
-// when the budget trips, every non-empty partition buffer is sorted,
-// run through the combiner (if any), written to DFS as a recordio run
-// file — optionally DEFLATE-compressed — and released. The shuffle
-// then defers partitions with file-backed runs: instead of an eager
+// Map-side spill-to-DFS, the memory-bounded path behind
+// Job.MaxShuffleBytes. A map task buffers emitted records per reduce
+// partition as before, but tracks the raw key+value bytes; when the
+// budget trips, every non-empty partition buffer is sorted, run
+// through the combiner (if any), written to DFS as a recordio run file
+// — optionally DEFLATE-compressed — and released. The shuffle then
+// defers partitions with file-backed runs: instead of an eager
 // in-memory merge, the reduce attempt streams a k-way merge over file
 // cursors (recordio.FileReader windows over dfs.ReadRange) and any
-// in-memory tail runs from under-budget map tasks, feeding the same
-// group iterator the in-memory path uses. With MaxShuffleBytes unset
-// the spiller reduces exactly to the legacy commit-time sort+combine,
-// so the in-memory path is preserved bit for bit.
+// in-memory runs from under-budget map tasks, feeding the same group
+// iterator the in-memory path uses. With MaxShuffleBytes unset the
+// spiller reduces exactly to the legacy commit-time sort+combine, so
+// the in-memory path is preserved bit for bit.
 
 package mapreduce
 
@@ -27,28 +27,16 @@ import (
 // collide too).
 func spillDir(job *Job) string { return "_shuffle/" + job.Name }
 
-// spillRun describes one file-backed sorted run of a single reduce
-// partition.
-type spillRun struct {
-	path    string
-	records int64
-	bytes   int64 // raw key+value bytes, pre-compression
-}
-
 // mapSpiller owns one map attempt's partitioned output buffer and its
 // spill lifecycle. It is used by every map task — budget or not — so
 // the two shuffle paths share one commit code path.
 type mapSpiller struct {
-	fs          dfs.Store
-	job         *Job
-	ctx         *TaskContext
-	taskID      string
-	attempt     int
-	node        string
-	mapOnly     bool
-	numReducers int
-	partition   func(key string, numReducers int) int
-	budget      int64
+	fs        dfs.Store
+	job       *Job
+	ctx       *TaskContext
+	spec      TaskSpec
+	partition func(key string, numReducers int) int
+	budget    int64
 	// forceSpill makes finish flush every partition to file-backed
 	// runs even when nothing tripped the budget — out-of-process map
 	// tasks have no other way to hand their output to the driver.
@@ -59,7 +47,7 @@ type mapSpiller struct {
 	spillSeq int
 	err      error // first spill failure; emit becomes a no-op after
 
-	fileRuns [][]spillRun // per partition, spill order
+	fileRuns [][]RunDesc // per partition, spill order
 
 	added      int64 // records emitted by the mapper
 	sorted     int64 // records sorted into runs (Hadoop's "Spilled Records")
@@ -69,16 +57,19 @@ type mapSpiller struct {
 	fileBytes  int64 // on-DFS bytes of those files
 }
 
-func newMapSpiller(fs dfs.Store, job *Job, ctx *TaskContext, taskID string, attempt int, node string, mapOnly bool, numReducers int, partition func(string, int) int, budget int64, forceSpill bool) *mapSpiller {
-	nParts := numReducers
-	if mapOnly {
+func newMapSpiller(fs dfs.Store, ctx *TaskContext, spec TaskSpec, forceSpill bool) *mapSpiller {
+	partition := spec.Job.Partitioner
+	if partition == nil {
+		partition = HashPartition
+	}
+	nParts, budget := spec.NumReducers, spec.ShuffleBudget
+	if spec.MapOnly {
 		nParts = 1
-		budget = 0 // map-only output goes straight to part files
+		budget = 0 // map-only output goes straight to the task's output file
 		forceSpill = false
 	}
 	return &mapSpiller{
-		fs: fs, job: job, ctx: ctx, taskID: taskID, attempt: attempt, node: node,
-		mapOnly: mapOnly, numReducers: numReducers, partition: partition,
+		fs: fs, job: spec.Job, ctx: ctx, spec: spec, partition: partition,
 		budget: budget, forceSpill: forceSpill, parts: make([][]KV, nParts),
 	}
 }
@@ -104,8 +95,8 @@ func (sp *mapSpiller) emit(k, v string) {
 		return
 	}
 	p := 0
-	if !sp.mapOnly {
-		p = sp.partition(k, sp.numReducers)
+	if !sp.spec.MapOnly {
+		p = sp.partition(k, sp.spec.NumReducers)
 	}
 	sp.parts[p] = append(sp.parts[p], KV{k, v})
 	sp.added++
@@ -121,16 +112,16 @@ func (sp *mapSpiller) emit(k, v string) {
 // stable sort, optional combine over the sorted groups, and a re-sort
 // of the combined output (a combiner Cleanup may emit out of order) —
 // the exact sequence the in-memory commit path has always run.
-func (sp *mapSpiller) sortCombine(run []KV) ([]KV, error) {
-	sortRun(run, sp.job.KeyCompare)
+func (sp *mapSpiller) sortCombine(kvs []KV) ([]KV, error) {
+	sortRun(kvs, sp.job.KeyCompare)
 	if sp.job.NewCombiner == nil {
-		return run, nil
+		return kvs, nil
 	}
-	combined, err := runReduce(sp.ctx, sp.job.NewCombiner(), &sliceIter{kvs: run}, nil, sp.job.KeyCompare)
+	combined, err := runReduce(sp.ctx, sp.job.NewCombiner(), newMergeIter(nil, []run{{mem: kvs}}, sp.job.KeyCompare), nil)
 	if err != nil {
 		return nil, fmt.Errorf("combiner: %v", err)
 	}
-	sp.combineIn += int64(len(run))
+	sp.combineIn += int64(len(kvs))
 	sp.combineOut += int64(len(combined))
 	sortRun(combined, sp.job.KeyCompare)
 	return combined, nil
@@ -143,7 +134,7 @@ func (sp *mapSpiller) spill() error {
 		if len(sp.parts[p]) == 0 {
 			continue
 		}
-		run, err := sp.sortCombine(sp.parts[p])
+		kvs, err := sp.sortCombine(sp.parts[p])
 		if err != nil {
 			return err
 		}
@@ -151,31 +142,31 @@ func (sp *mapSpiller) spill() error {
 		var raw int64
 		if sp.job.CompressSpill {
 			w := recordio.NewCompressedWriter(0)
-			for _, kv := range run {
+			for _, kv := range kvs {
 				w.Add(kv.Key, kv.Value)
 				raw += int64(len(kv.Key) + len(kv.Value))
 			}
 			data = w.Bytes()
 		} else {
 			w := recordio.NewWriter()
-			for _, kv := range run {
+			for _, kv := range kvs {
 				w.Add(kv.Key, kv.Value)
 				raw += int64(len(kv.Key) + len(kv.Value))
 			}
 			data = w.Bytes()
 		}
 		path := fmt.Sprintf("%s/%s-a%04d-spill-%04d-p%05d",
-			spillDir(sp.job), sp.taskID, sp.attempt, sp.spillSeq, p)
-		if err := sp.fs.Create(path, data, sp.node); err != nil {
+			spillDir(sp.job), sp.spec.TaskID, sp.spec.Attempt, sp.spillSeq, p)
+		if err := sp.fs.Create(path, data, sp.spec.Node); err != nil {
 			return fmt.Errorf("spill %s: %v", path, err)
 		}
 		if sp.fileRuns == nil {
-			sp.fileRuns = make([][]spillRun, len(sp.parts))
+			sp.fileRuns = make([][]RunDesc, len(sp.parts))
 		}
-		sp.fileRuns[p] = append(sp.fileRuns[p], spillRun{
-			path: path, records: int64(len(run)), bytes: raw,
+		sp.fileRuns[p] = append(sp.fileRuns[p], RunDesc{
+			Path: path, Records: int64(len(kvs)), Bytes: raw,
 		})
-		sp.sorted += int64(len(run))
+		sp.sorted += int64(len(kvs))
 		sp.files++
 		sp.fileBytes += int64(len(data))
 		sp.parts[p] = nil
@@ -185,91 +176,32 @@ func (sp *mapSpiller) spill() error {
 	return nil
 }
 
-// finish seals the attempt's output after mapper cleanup. If nothing
+// finish seals the attempt's output after mapper cleanup, returning
+// it as in-memory runs or as file-backed runs per partition. If nothing
 // spilled, each partition is sorted and combined in place — the legacy
 // commit path, bit for bit. If any spill happened, the remaining
 // buffer is flushed too, so every run of this attempt is file-backed.
-func (sp *mapSpiller) finish() (*mapOutput, error) {
+// A map-only attempt's output is its single unsorted partition.
+func (sp *mapSpiller) finish() (mem [][]KV, files [][]RunDesc, err error) {
 	if sp.err != nil {
-		return nil, sp.err
+		return nil, nil, sp.err
 	}
-	if sp.mapOnly {
-		return &mapOutput{parts: sp.parts}, nil
+	if sp.spec.MapOnly {
+		return sp.parts, nil, nil
 	}
 	if sp.spillSeq > 0 || sp.forceSpill {
 		if err := sp.spill(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return &mapOutput{parts: make([][]KV, len(sp.parts)), fileRuns: sp.fileRuns}, nil
+		return nil, sp.fileRuns, nil
 	}
 	for p := range sp.parts {
-		run, err := sp.sortCombine(sp.parts[p])
+		kvs, err := sp.sortCombine(sp.parts[p])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		sp.parts[p] = run
-		sp.sorted += int64(len(run))
+		sp.parts[p] = kvs
+		sp.sorted += int64(len(kvs))
 	}
-	return &mapOutput{parts: sp.parts}, nil
-}
-
-// shuffleSource is one run feeding a reduce partition's merge: either
-// an in-memory slice from an under-budget map task or a file-backed
-// spill run. Exactly one of mem / file.path is set.
-type shuffleSource struct {
-	mem  []KV
-	file spillRun
-}
-
-// extPartition is a reduce partition whose merge is deferred to the
-// reduce attempt because at least one of its runs is file-backed.
-type extPartition struct {
-	sources []shuffleSource // map-task order, spill order within a task
-	records int64
-	bytes   int64 // raw key+value bytes across all runs
-}
-
-// iter opens a fresh streaming merge over the partition's runs. Each
-// reduce attempt gets its own cursors (and fetch windows), so
-// concurrent speculative attempts never share read state.
-func (x *extPartition) iter(fs dfs.Store, cmp func(a, b string) int) (*extMergeIter, error) {
-	pulls := make([]pullFunc, 0, len(x.sources))
-	for _, s := range x.sources {
-		if s.file.path == "" {
-			it := &sliceIter{kvs: s.mem}
-			pulls = append(pulls, func() (KV, bool, error) {
-				kv, ok := it.next()
-				return kv, ok, nil
-			})
-			continue
-		}
-		pull, err := openSpillRun(fs, s.file.path)
-		if err != nil {
-			return nil, err
-		}
-		pulls = append(pulls, pull)
-	}
-	return newExtMergeIter(pulls, cmp)
-}
-
-// openSpillRun opens one spill file as a pull cursor streaming through
-// ranged DFS reads, holding one fetch window rather than the file.
-func openSpillRun(fs dfs.Store, path string) (pullFunc, error) {
-	size, err := fs.Size(path)
-	if err != nil {
-		return nil, fmt.Errorf("spill run %s: %v", path, err)
-	}
-	r, err := recordio.NewFileReader(size, func(off, n int64) ([]byte, error) {
-		return fs.ReadRange(path, off, n)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("spill run %s: %v", path, err)
-	}
-	return func() (KV, bool, error) {
-		k, v, ok, err := r.Next()
-		if err != nil {
-			return KV{}, false, fmt.Errorf("spill run %s: %v", path, err)
-		}
-		return KV{Key: k, Value: v}, ok, nil
-	}, nil
+	return sp.parts, nil, nil
 }

@@ -248,37 +248,32 @@ func TestSpillRunTruncationIsAnError(t *testing.T) {
 	fs, _ := dfs.New(c, dfs.Config{ChunkSize: 1 << 20, Replication: 3, Seed: 3})
 	e := NewEngine(c, fs, Options{})
 	job := &Job{Name: "trunc", MaxShuffleBytes: 1}
-	sp := newMapSpiller(e.fs, job, &TaskContext{}, "m0", 0, "", false, 1, HashPartition, job.MaxShuffleBytes, false)
+	spec := TaskSpec{Job: job, TaskID: "m0", NumReducers: 1, ShuffleBudget: job.MaxShuffleBytes}
+	sp := newMapSpiller(e.fs, &TaskContext{}, spec, false)
 	for i := 0; i < 50; i++ {
 		sp.emit(fmt.Sprintf("key-%02d", i), "value-payload")
 	}
-	out, err := sp.finish()
+	_, files, err := sp.finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.fileRuns) == 0 || len(out.fileRuns[0]) == 0 {
+	if len(files) == 0 || len(files[0]) == 0 {
 		t.Fatal("fixture produced no file runs")
 	}
-	run := out.fileRuns[0][0]
-	data, err := fs.ReadAll(run.path)
+	rd := files[0][0]
+	data, err := fs.ReadAll(rd.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trunc := run.path + ".trunc"
-	if err := fs.Create(trunc, data[:len(data)-3], ""); err != nil {
+	trunc := rd
+	trunc.Path += ".trunc"
+	if err := fs.Create(trunc.Path, data[:len(data)-3], ""); err != nil {
 		t.Fatal(err)
 	}
-	pull, err := openSpillRun(fs, trunc)
-	if err != nil {
-		t.Fatal(err)
+	it := newMergeIter(fs, []run{{file: trunc}}, nil)
+	for _, ok := it.next(); ok; _, ok = it.next() {
 	}
-	for {
-		_, ok, err := pull()
-		if err != nil {
-			return // truncation surfaced as an explicit error
-		}
-		if !ok {
-			t.Fatal("truncated spill run read to a clean EOF")
-		}
+	if it.Err() == nil {
+		t.Fatal("truncated spill run read to a clean EOF")
 	}
 }
