@@ -8,6 +8,7 @@ package rpc_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -21,6 +22,8 @@ import (
 	"repro/internal/geolife"
 	"repro/internal/gepeto"
 	"repro/internal/mapreduce"
+	"repro/internal/recordio"
+	"repro/internal/trace"
 )
 
 // Test job kinds, registered once per binary — the worker goroutines
@@ -390,46 +393,94 @@ func TestRPCBackendUnregisteredKindFailsAtSubmit(t *testing.T) {
 	}
 }
 
+// seedKMeansForms uploads one corpus as text records under "text" and
+// as binary RCIO traces under "rcio", one file per user each.
+func seedKMeansForms(t *testing.T, fs *dfs.FileSystem) {
+	t.Helper()
+	ds := geolife.Generate(geolife.Config{Users: 4, TotalTraces: 1500, Seed: 5})
+	if err := geolife.WriteRecords(fs, "text", ds); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range fs.List("text") {
+		data, err := fs.ReadAll(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := recordio.NewWriter()
+		err = geolife.ScanTraces(data, func(tr trace.Trace) error {
+			w.Add("", string(recordio.TraceValue{}.Append(nil, tr)))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Create(fmt.Sprintf("rcio/%03d.rcio", i), w.Bytes(), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestKMeansRPCMatchesInProcess runs k-means over the text and RCIO
+// forms of one corpus, with uniform and ++ seeding, with and without a
+// spilling compressed shuffle, in-process and through the RPC backend.
+// The iterations read the points the driver imported, so all runs of
+// one seeding method agree bit for bit, and none leaves its points.
 func TestKMeansRPCMatchesInProcess(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-iteration k-means over the gob transport")
+		t.Skip("multi-iteration k-means runs over the gob transport")
 	}
-	ds := geolife.Generate(geolife.Config{Users: 4, TotalTraces: 1500, Seed: 5})
-	opts := gepeto.KMeansOptions{
-		K: 4, Distance: geo.MetricSquaredEuclidean, ConvergenceDelta: 1e-4,
-		MaxIter: 3, UseCombiner: true, Seed: 1,
-	}
-
-	chunk := int64(64 << 10)
+	chunk := int64(8 << 10)
 	cA, fsA := newTopology(t, chunk)
-	if err := geolife.WriteRecords(fsA, "input", ds); err != nil {
-		t.Fatal(err)
-	}
-	engA := mapreduce.NewEngine(cA, fsA, mapreduce.Options{})
-	resA, err := gepeto.KMeansMR(engA, []string{"input"}, "work", opts)
-	if err != nil {
-		t.Fatalf("in-process k-means: %v", err)
-	}
-
+	seedKMeansForms(t, fsA)
+	local := mapreduce.NewEngine(cA, fsA, mapreduce.Options{})
 	cB, fsB := newTopology(t, chunk)
-	if err := geolife.WriteRecords(fsB, "input", ds); err != nil {
-		t.Fatal(err)
-	}
-	b := startBackend(t, cB, fsB, backendOpts{})
-	resB, err := gepeto.KMeansMR(b.engine(cB, fsB), []string{"input"}, "work", opts)
-	if err != nil {
-		t.Fatalf("rpc k-means: %v", err)
-	}
+	seedKMeansForms(t, fsB)
+	remote := startBackend(t, cB, fsB, backendOpts{}).engine(cB, fsB)
 
-	if resA.Iterations != resB.Iterations || resA.Converged != resB.Converged {
-		t.Fatalf("iterations: in-process %d/%v, rpc %d/%v",
-			resA.Iterations, resA.Converged, resB.Iterations, resB.Converged)
+	bits := func(r *gepeto.KMeansResult) string {
+		var sb strings.Builder
+		for _, c := range r.Centroids {
+			fmt.Fprintf(&sb, "%016x,%016x ", math.Float64bits(c.Lat), math.Float64bits(c.Lon))
+		}
+		return fmt.Sprintf("%s sizes=%v iterations=%d converged=%v", sb.String(), r.Sizes, r.Iterations, r.Converged)
 	}
-	if fmt.Sprint(resA.Centroids) != fmt.Sprint(resB.Centroids) {
-		t.Fatalf("centroids differ:\n in-process %v\n rpc        %v", resA.Centroids, resB.Centroids)
-	}
-	if fmt.Sprint(resA.Sizes) != fmt.Sprint(resB.Sizes) {
-		t.Fatalf("cluster sizes differ: in-process %v, rpc %v", resA.Sizes, resB.Sizes)
+	for _, plusPlus := range []bool{false, true} {
+		want := ""
+		for _, input := range []string{"text", "rcio"} {
+			for _, spill := range []bool{false, true} {
+				opts := gepeto.KMeansOptions{
+					K: 4, Distance: geo.MetricSquaredEuclidean, MaxIter: 3,
+					UseCombiner: true, Seed: 1, PlusPlusInit: plusPlus,
+				}
+				if spill {
+					opts.MaxShuffleBytes, opts.CompressSpill = 512, true
+				}
+				for _, side := range []struct {
+					name string
+					e    *mapreduce.Engine
+				}{{"in-process", local}, {"rpc", remote}} {
+					what := fmt.Sprintf("plusPlus=%v input=%s spill=%v %s", plusPlus, input, spill, side.name)
+					res, err := gepeto.KMeansMR(side.e, []string{input}, "work", opts)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if left := side.e.FS().List("work/points"); len(left) != 0 {
+						t.Fatalf("%s: points left behind: %v", what, left)
+					}
+					// Remote map tasks always write their runs to files.
+					spilled := res.IterationResults[0].Counters.Value(mapreduce.CounterGroupShuffle, mapreduce.CounterShuffleSpillFiles)
+					if spill && spilled == 0 {
+						t.Fatalf("%s: the budgeted run did not spill", what)
+					}
+					got := bits(res)
+					if want == "" {
+						want = got
+					} else if got != want {
+						t.Fatalf("%s:\n got  %s\n want %s", what, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -87,7 +87,10 @@ type Worker struct {
 	epoch int64 // start time (UnixNano), versioning federated snapshots
 	busy  *obs.Gauge
 
-	queue chan assignArgs
+	// queue holds pointers: every decoded assignment is already its own
+	// allocation, and 1024 slots of the 264-byte struct would reserve
+	// 270 KB per worker up front.
+	queue chan *assignArgs
 
 	mu   sync.Mutex
 	seen map[string]bool // assigned attempt keys, for duplicate-delivery dedup
@@ -129,7 +132,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		log:   orNopLogger(cfg.Logger),
 		epoch: time.Now().UnixNano(),
 		busy:  reg.Gauge("worker_busy_slots", "Slots currently executing a task.", nil),
-		queue: make(chan assignArgs, 1024),
+		queue: make(chan *assignArgs, 1024),
 		seen:  make(map[string]bool),
 		stop:  make(chan struct{}),
 	}
@@ -214,7 +217,7 @@ func (w *Worker) handleAssign(a *assignArgs) (*assignReply, error) {
 	w.seen[key] = true
 	w.mu.Unlock()
 	select {
-	case w.queue <- *a:
+	case w.queue <- a:
 		return &assignReply{}, nil
 	default:
 		// Full queue: refuse, and forget the key so a retry after
@@ -240,7 +243,7 @@ func (w *Worker) slotLoop() {
 		case <-w.stop:
 			return
 		case a := <-w.queue:
-			w.runTask(a)
+			w.runTask(*a)
 		}
 	}
 }

@@ -22,6 +22,7 @@
 package geolife
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -419,9 +420,28 @@ func ReadRecords(fs *dfs.FileSystem, dir string) (*trace.Dataset, error) {
 
 // ForEachTrace streams every trace stored under the given paths (files
 // or directories) in file order, sniffing the format of each file. It
-// is the single input-scanning loop behind ReadRecords and the
-// driver-side passes of the pipelines (k-means seeding and friends).
+// is the single input-scanning loop behind ReadRecords; the k-means
+// driver runs the same TraceFiles/ScanTraces pair file by file.
 func ForEachTrace(fs *dfs.FileSystem, paths []string, fn func(trace.Trace) error) error {
+	files, err := TraceFiles(fs, paths)
+	if err != nil {
+		return err
+	}
+	for _, f := range files {
+		data, err := fs.ReadAll(f)
+		if err != nil {
+			return err
+		}
+		if err := ScanTraces(data, fn); err != nil {
+			return fmt.Errorf("geolife: %s: %v", f, err)
+		}
+	}
+	return nil
+}
+
+// TraceFiles expands paths (files or directories) into the record
+// files they name, in the order ForEachTrace visits them.
+func TraceFiles(fs *dfs.FileSystem, paths []string) ([]string, error) {
 	var files []string
 	for _, p := range paths {
 		if fs.Exists(p) {
@@ -431,37 +451,46 @@ func ForEachTrace(fs *dfs.FileSystem, paths []string, fn func(trace.Trace) error
 		}
 	}
 	if len(files) == 0 {
-		return fmt.Errorf("geolife: no record files under %q", strings.Join(paths, ", "))
+		return nil, fmt.Errorf("geolife: no record files under %q", strings.Join(paths, ", "))
 	}
-	for _, f := range files {
-		data, err := fs.ReadAll(f)
+	return files, nil
+}
+
+// ScanTraces calls fn for every trace in one record file's bytes:
+// binary RCIO records, or text lines in any form ParseRecordValue
+// accepts. Text lines are cut on '\n' with a trailing '\r' trimmed,
+// as the engine's line reader does, and empty lines are skipped. Each
+// line becomes its own short-lived string; the file is never copied
+// whole.
+func ScanTraces(data []byte, fn func(trace.Trace) error) error {
+	if recordio.IsRecordData(data) {
+		return recordio.ScanAll(data, func(_, value string) error {
+			t, err := recordio.DecodeTraceValue(value)
+			if err != nil {
+				return err
+			}
+			return fn(t)
+		})
+	}
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+		if len(line) == 0 {
+			continue
+		}
+		t, err := ParseRecordValue(string(line))
 		if err != nil {
 			return err
 		}
-		if recordio.IsRecordData(data) {
-			err = recordio.ScanAll(data, func(_, value string) error {
-				t, err := recordio.DecodeTraceValue(value)
-				if err != nil {
-					return err
-				}
-				return fn(t)
-			})
-			if err != nil {
-				return fmt.Errorf("geolife: %s: %v", f, err)
-			}
-			continue
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line == "" {
-				continue
-			}
-			t, err := ParseRecordValue(line)
-			if err != nil {
-				return fmt.Errorf("geolife: %s: %v", f, err)
-			}
-			if err := fn(t); err != nil {
-				return err
-			}
+		if err := fn(t); err != nil {
+			return err
 		}
 	}
 	return nil

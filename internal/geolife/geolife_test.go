@@ -2,6 +2,7 @@ package geolife
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -241,6 +242,48 @@ func TestWriteReadRecordsRoundTrip(t *testing.T) {
 		if math.Abs(a.Traces[i].Point.Lat-b.Traces[i].Point.Lat) > 1e-6 ||
 			!a.Traces[i].Time.Equal(b.Traces[i].Time) {
 			t.Fatalf("trace %d differs", i)
+		}
+	}
+}
+
+// TestScanTracesLineEndings reads one record file with LF, CRLF, blank
+// lines and no final newline: every form yields the same traces, as
+// the engine's line reader would.
+func TestScanTracesLineEndings(t *testing.T) {
+	ds := Generate(Config{Users: 1, TotalTraces: 50, Seed: 4})
+	var lf strings.Builder
+	for _, tr := range ds.Trails[0].Traces {
+		lf.WriteString(tr.Record() + "\n")
+	}
+	collect := func(data string) []trace.Trace {
+		t.Helper()
+		var out []trace.Trace
+		if err := ScanTraces([]byte(data), func(tr trace.Trace) error {
+			out = append(out, tr)
+			return nil
+		}); err != nil {
+			t.Fatalf("ScanTraces: %v", err)
+		}
+		return out
+	}
+	want := collect(lf.String())
+	if len(want) != 50 {
+		t.Fatalf("LF file: %d traces, want 50", len(want))
+	}
+	crlf := strings.ReplaceAll(lf.String(), "\n", "\r\n")
+	for name, data := range map[string]string{
+		"CRLF":             crlf,
+		"CRLF+blank lines": "\r\n" + strings.ReplaceAll(crlf, "\r\n", "\r\n\n"),
+		"no final newline": strings.TrimSuffix(lf.String(), "\n"),
+	} {
+		got := collect(data)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d traces, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: trace %d = %+v, want %+v", name, i, got[i], want[i])
+			}
 		}
 	}
 }

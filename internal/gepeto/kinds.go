@@ -5,15 +5,16 @@
 package gepeto
 
 import (
+	"repro/internal/geo"
 	"repro/internal/mapreduce"
 	"repro/internal/recordio"
-	"repro/internal/trace"
 )
 
 // KindKMeansIter names the k-means iteration job family: one MapReduce
-// job per Lloyd iteration, centroids in the distributed cache, partial
-// sums as intermediates. Every iteration shares this kind — only the
-// per-job data (name, cache blob, paths) differs on the wire.
+// job per Lloyd iteration over the binary points the driver imported,
+// centroids in the distributed cache, partial sums as intermediates.
+// Every iteration shares this kind — only the per-job data (name,
+// cache blob, paths) differs on the wire.
 const KindKMeansIter = "gepeto/kmeans-iter"
 
 func init() {
@@ -24,7 +25,7 @@ func init() {
 	// always registered; whether a given job uses it travels on the wire
 	// (JobWire.HasCombiner, driven by KMeansOptions.UseCombiner).
 	tj := &kmeansIterJob{
-		Mapper: func() mapreduce.TypedMapper[string, trace.Trace, int64, recordio.PointSum] {
+		Mapper: func() mapreduce.TypedMapper[string, geo.Point, int64, recordio.PointSum] {
 			return &kmeansMapper{}
 		},
 		Reducer: func() mapreduce.TypedReducer[int64, recordio.PointSum, int64, recordio.PointSum] {
@@ -34,7 +35,7 @@ func init() {
 			return kmeansReducer{}
 		},
 		InputKey:    recordio.RawString{},
-		InputValue:  recordio.TraceValue{},
+		InputValue:  recordio.Point{},
 		MapKey:      recordio.Int64{},
 		MapValue:    recordio.PointSumCodec{},
 		OutputKey:   recordio.Int64{},

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/dfs"
 	"repro/internal/geo"
 	"repro/internal/geolife"
 	"repro/internal/mapreduce"
@@ -96,26 +95,26 @@ const (
 
 // KMeansMR runs the MapReduced k-means of §VI over the record files in
 // inputPaths: each iteration is one MapReduce job whose map phase
-// assigns every mobility trace to the closest centroid and whose
-// reduce phase computes the new centroid of each cluster; the driver
-// (this function) picks random initial centroids, submits one job per
-// iteration with the current centroids in the distributed cache, and
-// stops on convergence — the workflow of Fig. 4. Intermediate output
-// directories are created under workDir and cleaned up afterwards.
+// assigns every point to the closest centroid and whose reduce phase
+// computes the new centroid of each cluster; the driver (this
+// function) picks the initial centroids, submits one job per iteration
+// with the current centroids in the distributed cache, and stops on
+// convergence — the workflow of Fig. 4. The initialization scan also
+// converts the input, text or binary traces alike, to binary points
+// under workDir/points, once; every iteration reads those instead of
+// re-parsing the traces. Intermediate output directories are created
+// under workDir and removed before KMeansMR returns, on error too.
 func KMeansMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts KMeansOptions) (res *KMeansResult, err error) {
 	opts = opts.withDefaults()
 	spanID := "kmeans:" + workDir
 	defer span(e, spanID, opts.Parent, fmt.Sprintf("k=%d maxIter=%d", opts.K, opts.MaxIter), &err)()
-	var centroids []geo.Point
-	if opts.PlusPlusInit {
-		var pts []geo.Point
-		pts, err = readAllPoints(e.FS(), inputPaths)
-		if err == nil {
-			centroids, err = plusPlusCenters(pts, opts.K, opts.Seed, opts.Distance)
+	pointsDir := workDir + "/points"
+	defer func() {
+		if derr := e.FS().DeleteDir(pointsDir); derr != nil && err == nil {
+			res, err = nil, fmt.Errorf("kmeans: clearing imported points: %v", derr)
 		}
-	} else {
-		centroids, err = randomCenters(e.FS(), inputPaths, opts.K, opts.Seed)
-	}
+	}()
+	centroids, err := initCenters(e, inputPaths, pointsDir, spanID, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -125,16 +124,16 @@ func KMeansMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts KMe
 			Name:       fmt.Sprintf("kmeans-iter-%03d", iter),
 			Kind:       KindKMeansIter,
 			Parent:     spanID,
-			InputPaths: inputPaths,
+			InputPaths: []string{pointsDir},
 			OutputPath: fmt.Sprintf("%s/clusters-%03d", workDir, iter),
-			Mapper: func() mapreduce.TypedMapper[string, trace.Trace, int64, recordio.PointSum] {
+			Mapper: func() mapreduce.TypedMapper[string, geo.Point, int64, recordio.PointSum] {
 				return &kmeansMapper{}
 			},
 			Reducer: func() mapreduce.TypedReducer[int64, recordio.PointSum, int64, recordio.PointSum] {
 				return kmeansReducer{}
 			},
 			InputKey:          recordio.RawString{},
-			InputValue:        recordio.TraceValue{},
+			InputValue:        recordio.Point{},
 			MapKey:            recordio.Int64{},
 			MapValue:          recordio.PointSumCodec{},
 			OutputKey:         recordio.Int64{},
@@ -178,15 +177,15 @@ func KMeansMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts KMe
 	return res, nil
 }
 
-// kmeansIterJob is one k-means iteration in typed form: trace records
+// kmeansIterJob is one k-means iteration in typed form: binary points
 // in, (cluster index, partial coordinate sum) intermediates, and one
 // aggregated PointSum per cluster out. Cluster indices travel as
 // order-preserving int64 encodings and partial sums as raw float64
 // bits — the combiner no longer loses precision to decimal rendering.
-type kmeansIterJob = mapreduce.TypedJob[string, trace.Trace, int64, recordio.PointSum, int64, recordio.PointSum]
+type kmeansIterJob = mapreduce.TypedJob[string, geo.Point, int64, recordio.PointSum, int64, recordio.PointSum]
 
 // kmeansMapper is Algorithm 1: load the centroids from the distributed
-// cache in setup, then assign each trace to its closest centroid.
+// cache in setup, then assign each point to its closest centroid.
 type kmeansMapper struct {
 	mapreduce.TypedMapperBase[int64, recordio.PointSum]
 	centroids []geo.Point
@@ -207,16 +206,22 @@ func (m *kmeansMapper) Setup(ctx *mapreduce.TaskContext) error {
 	return err
 }
 
-func (m *kmeansMapper) Map(_ *mapreduce.TaskContext, _ string, t trace.Trace, emit mapreduce.TypedEmit[int64, recordio.PointSum]) error {
-	best, bestDist := 0, m.metric.Distance(t.Point, m.centroids[0])
+func (m *kmeansMapper) Map(_ *mapreduce.TaskContext, _ string, p geo.Point, emit mapreduce.TypedEmit[int64, recordio.PointSum]) error {
+	// Emit in partial-sum form so the combiner can aggregate.
+	emit(int64(m.nearest(p)), recordio.PointSum{LatSum: p.Lat, LonSum: p.Lon, N: 1})
+	return nil
+}
+
+// nearest returns the index of the centroid closest to p (the first
+// one on ties).
+func (m *kmeansMapper) nearest(p geo.Point) int {
+	best, bestDist := 0, m.metric.Distance(p, m.centroids[0])
 	for i := 1; i < len(m.centroids); i++ {
-		if d := m.metric.Distance(t.Point, m.centroids[i]); d < bestDist {
+		if d := m.metric.Distance(p, m.centroids[i]); d < bestDist {
 			best, bestDist = i, d
 		}
 	}
-	// Emit in partial-sum form so the combiner can aggregate.
-	emit(int64(best), recordio.PointSum{LatSum: t.Point.Lat, LonSum: t.Point.Lon, N: 1})
-	return nil
+	return best
 }
 
 // kmeansReducer is Algorithm 2 and doubles as the combiner: the merge
@@ -238,25 +243,33 @@ func (kmeansReducer) Reduce(_ *mapreduce.TaskContext, key int64, values []record
 	return nil
 }
 
-// randomCenters is Algorithm 3's initialization phase: "randomly
-// choose k points from the input dataset as initial centroids",
-// performed by a single node because it is computationally cheap. It
-// reservoir-samples k traces from the input files.
-func randomCenters(fs *dfs.FileSystem, inputPaths []string, k int, seed int64) ([]geo.Point, error) {
-	rng := rand.New(rand.NewSource(seed))
+// initCenters is Algorithm 3's initialization phase, performed by a
+// single node because it is computationally cheap: uniform seeding
+// reservoir-samples k points ("randomly choose k points from the input
+// dataset as initial centroids"), ++ seeding keeps every point for
+// plusPlusCenters. Both ride on the one importPoints scan.
+func initCenters(e *mapreduce.Engine, inputPaths []string, pointsDir, parent string, opts KMeansOptions) ([]geo.Point, error) {
+	if opts.PlusPlusInit {
+		var pts []geo.Point
+		if err := importPoints(e, inputPaths, pointsDir, parent, func(p geo.Point) { pts = append(pts, p) }); err != nil {
+			return nil, err
+		}
+		return plusPlusCenters(pts, opts.K, opts.Seed, opts.Distance)
+	}
+	k := opts.K
+	rng := rand.New(rand.NewSource(opts.Seed))
 	reservoir := make([]geo.Point, 0, k)
 	n := 0
-	err := geolife.ForEachTrace(fs, inputPaths, func(t trace.Trace) error {
+	err := importPoints(e, inputPaths, pointsDir, parent, func(p geo.Point) {
 		n++
 		if len(reservoir) < k {
-			reservoir = append(reservoir, t.Point)
+			reservoir = append(reservoir, p)
 		} else if j := rng.Intn(n); j < k {
-			reservoir[j] = t.Point
+			reservoir[j] = p
 		}
-		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("kmeans init: %v", err)
+		return nil, err
 	}
 	if len(reservoir) < k {
 		return nil, fmt.Errorf("kmeans init: dataset has %d traces, need at least k=%d", n, k)
@@ -264,19 +277,52 @@ func randomCenters(fs *dfs.FileSystem, inputPaths []string, k int, seed int64) (
 	return reservoir, nil
 }
 
-// readAllPoints loads every trace coordinate from the input files (the
-// single-node initialization pass, like randomCenters but retaining all
-// points for ++-style seeding).
-func readAllPoints(fs *dfs.FileSystem, inputPaths []string) ([]geo.Point, error) {
-	var pts []geo.Point
-	err := geolife.ForEachTrace(fs, inputPaths, func(t trace.Trace) error {
-		pts = append(pts, t.Point)
-		return nil
-	})
+// importPoints is the initialization scan fused with the one-time
+// import of the input: it reads every input file once, text or binary
+// traces alike, hands each trace's point to visit in input order, and
+// writes the file's points as recordio.Point values with empty keys to
+// pointsDir/part-NNNNN, one file per input file. The iteration jobs
+// read those files — as Mahout's KMeansDriver iterates over vector
+// SequenceFiles — so no iteration parses a trace. The scan is its own
+// span under the k-means span, ending with the records and bytes
+// written.
+func importPoints(e *mapreduce.Engine, inputPaths []string, pointsDir, parent string, visit func(geo.Point)) (err error) {
+	var records, written int64
+	var result string
+	defer spanWithResult(e, "kmeans-init:"+pointsDir, parent, "scan + import to "+pointsDir, &err, &result)()
+	fs := e.FS()
+	files, err := geolife.TraceFiles(fs, inputPaths)
 	if err != nil {
-		return nil, fmt.Errorf("kmeans init: %v", err)
+		return fmt.Errorf("kmeans init: %v", err)
 	}
-	return pts, nil
+	w := recordio.NewWriter()
+	var enc recordio.Point
+	var scratch []byte
+	for i, f := range files {
+		data, err := fs.ReadAll(f)
+		if err != nil {
+			return fmt.Errorf("kmeans init: %v", err)
+		}
+		// A framed point record is 18 bytes, about half of the text or
+		// binary trace record it comes from: reserve that up front.
+		w.Reset(len(data) / 2)
+		err = geolife.ScanTraces(data, func(t trace.Trace) error {
+			visit(t.Point)
+			scratch = enc.Append(scratch[:0], t.Point)
+			w.Add("", string(scratch))
+			records++
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("kmeans init: %s: %v", f, err)
+		}
+		if err := fs.Create(fmt.Sprintf("%s/part-%05d", pointsDir, i), w.Bytes(), ""); err != nil {
+			return fmt.Errorf("kmeans init: %v", err)
+		}
+		written += int64(w.Len())
+	}
+	result = fmt.Sprintf("files=%d records=%d bytes=%d", len(files), records, written)
+	return nil
 }
 
 // plusPlusCenters implements k-means++ seeding (Arthur & Vassilvitskii):
@@ -459,13 +505,7 @@ type assignMapper struct {
 func (m *assignMapper) Setup(ctx *mapreduce.TaskContext) error { return m.inner.Setup(ctx) }
 
 func (m *assignMapper) Map(_ *mapreduce.TaskContext, _ string, t trace.Trace, emit mapreduce.TypedEmit[int64, trace.Trace]) error {
-	best, bestDist := 0, m.inner.metric.Distance(t.Point, m.inner.centroids[0])
-	for i := 1; i < len(m.inner.centroids); i++ {
-		if d := m.inner.metric.Distance(t.Point, m.inner.centroids[i]); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	emit(int64(best), t)
+	emit(int64(m.inner.nearest(t.Point)), t)
 	return nil
 }
 

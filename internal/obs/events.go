@@ -109,7 +109,9 @@ type Event struct {
 	Value int64
 	// Err is the failure reason for AttemptFailed / failed JobFinished.
 	Err string
-	// Detail is free-form context ("maps=12 reducers=4").
+	// Detail is free-form context ("maps=12 reducers=4"). On a SpanEnd
+	// a non-empty Detail replaces the one given at the SpanStart, for
+	// outcomes known only at the end (records and bytes written).
 	Detail string
 	// Parts is the per-reduce-partition shuffle summary, set on the
 	// shuffle PhaseEnd event. It is the raw material for skew analysis:

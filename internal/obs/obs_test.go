@@ -326,7 +326,7 @@ func TestTrackerLifecycle(t *testing.T) {
 		Locality: "data-local", Time: t0.Add(time.Second)})
 	tr.Emit(Event{Type: PhaseEnd, Job: "j1", Phase: "map", Dur: time.Second, Time: t0.Add(time.Second)})
 	tr.Emit(Event{Type: JobFinished, Job: "j1", Time: t0.Add(time.Second)})
-	tr.Emit(Event{Type: SpanEnd, Span: "pipe", Err: "exploded", Time: t0.Add(time.Second)})
+	tr.Emit(Event{Type: SpanEnd, Span: "pipe", Err: "exploded", Detail: "records=7", Time: t0.Add(time.Second)})
 
 	js, attempts, ok := tr.Job("j1")
 	if !ok {
@@ -341,7 +341,7 @@ func TestTrackerLifecycle(t *testing.T) {
 	if len(attempts) != 1 || attempts[0].Status != "succeeded" || attempts[0].Locality != "data-local" {
 		t.Errorf("attempts: %+v", attempts)
 	}
-	if span, _, _ := tr.Job("pipe"); span.State != "failed" || span.Error != "exploded" {
+	if span, _, _ := tr.Job("pipe"); span.State != "failed" || span.Error != "exploded" || span.Detail != "records=7" {
 		t.Errorf("span end state: %+v", span)
 	}
 }

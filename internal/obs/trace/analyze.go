@@ -144,12 +144,27 @@ type JobAnalysis struct {
 	RPC *RPCReport `json:"rpc,omitempty"`
 }
 
+// SpanCost is the wall time of one pipeline span nested under the
+// tree's root: a driver stage such as the k-means initialization scan,
+// which no job analysis covers.
+type SpanCost struct {
+	// Name is the span ID; Detail its final detail.
+	Name   string `json:"name"`
+	Detail string `json:"detail,omitempty"`
+	// WallUs is the span wall-clock; Pct is it as a percentage of the
+	// root's.
+	WallUs int64   `json:"wall_us"`
+	Pct    float64 `json:"pct"`
+}
+
 // Analysis is the report for a whole tree.
 type Analysis struct {
 	// Root is the tree's root span name.
 	Root string `json:"root"`
 	// WallUs is the root span wall-clock.
 	WallUs int64 `json:"wall_us"`
+	// Spans are the pipeline spans below the root, in tree order.
+	Spans []SpanCost `json:"spans,omitempty"`
 	// Jobs are the per-job analyses in start order.
 	Jobs []JobAnalysis `json:"jobs"`
 }
@@ -158,6 +173,15 @@ type Analysis struct {
 func AnalyzeTree(t *Tree, opts Options) *Analysis {
 	opts = opts.withDefaults()
 	a := &Analysis{Root: t.Root.Name, WallUs: t.WallUs()}
+	t.Root.Walk(func(s *Span) {
+		if s.Kind == KindPipeline && s != t.Root {
+			sc := SpanCost{Name: s.Name, Detail: s.Detail, WallUs: s.DurUs()}
+			if a.WallUs > 0 {
+				sc.Pct = 100 * float64(sc.WallUs) / float64(a.WallUs)
+			}
+			a.Spans = append(a.Spans, sc)
+		}
+	})
 	for _, j := range t.Root.Jobs() {
 		a.Jobs = append(a.Jobs, analyzeJob(j, opts))
 	}

@@ -11,6 +11,9 @@ import (
 func WriteReport(w io.Writer, t *Tree, a *Analysis) {
 	fmt.Fprintf(w, "trace %d  %s  started %s  wall %s\n",
 		t.Seq, a.Root, t.Start().Format(time.RFC3339), usDur(a.WallUs))
+	for _, sc := range a.Spans {
+		fmt.Fprintf(w, "  span %-32s %8s  %5.1f%%  %s\n", sc.Name, usDur(sc.WallUs), sc.Pct, sc.Detail)
+	}
 	for i := range a.Jobs {
 		ja := &a.Jobs[i]
 		fmt.Fprintf(w, "\njob %s  wall %s  status %s\n", ja.Job, usDur(ja.WallUs), ja.Status)

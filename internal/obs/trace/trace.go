@@ -199,6 +199,9 @@ func (a *assembler) add(e obs.Event) {
 				s.Status = StatusFailed
 				s.Error = e.Err
 			}
+			if e.Detail != "" {
+				s.Detail = e.Detail
+			}
 		}
 	case obs.JobSubmitted:
 		j := &Span{Kind: KindJob, Name: e.Job, Status: StatusRunning,

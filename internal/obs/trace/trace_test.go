@@ -454,3 +454,44 @@ func TestHTTPHandlers(t *testing.T) {
 		t.Errorf("analyze text with slow=100 still flags stragglers: %.200s", body)
 	}
 }
+
+// TestDriverSpanCosts checks a nested pipeline span whose outcome is
+// reported on its SpanEnd (the k-means initialization scan): the end
+// detail replaces the start detail, and the analysis, the report and
+// the Chrome export all carry the span's wall time.
+func TestDriverSpanCosts(t *testing.T) {
+	mk := func(typ obs.EventType, us int64, f obs.Event) obs.Event {
+		f.Type, f.Time = typ, at(us)
+		return f
+	}
+	trees := Assemble([]obs.Event{
+		mk(obs.SpanStart, 0, obs.Event{Span: "kmeans:w", Detail: "k=4"}),
+		mk(obs.SpanStart, 100, obs.Event{Span: "kmeans-init:w/points", Parent: "kmeans:w", Detail: "scan"}),
+		mk(obs.SpanEnd, 2600, obs.Event{Span: "kmeans-init:w/points", Detail: "files=1 records=10 bytes=185"}),
+		mk(obs.JobSubmitted, 2700, obs.Event{Job: "kmeans-iter-000", Parent: "kmeans:w"}),
+		mk(obs.JobFinished, 9000, obs.Event{Job: "kmeans-iter-000"}),
+		mk(obs.SpanEnd, 10000, obs.Event{Span: "kmeans:w"}),
+	})
+	if len(trees) != 1 {
+		t.Fatalf("trees = %d, want 1", len(trees))
+	}
+	a := AnalyzeTree(trees[0], Options{})
+	want := SpanCost{Name: "kmeans-init:w/points", Detail: "files=1 records=10 bytes=185", WallUs: 2500, Pct: 25}
+	if len(a.Spans) != 1 || a.Spans[0] != want {
+		t.Fatalf("spans = %+v, want [%+v]", a.Spans, want)
+	}
+	var sb strings.Builder
+	WriteReport(&sb, trees[0], a)
+	if !strings.Contains(sb.String(), "span kmeans-init:w/points") || !strings.Contains(sb.String(), "25.0%  files=1 records=10 bytes=185") {
+		t.Errorf("report does not show the init span:\n%s", sb.String())
+	}
+	found := false
+	for _, ev := range BuildChrome(trees[0]).TraceEvents {
+		if ev.Name == "kmeans-init:w/points" && ev.Dur != nil && *ev.Dur == 2500 && ev.Args["detail"] == want.Detail {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("chrome export has no init span with its wall time and detail")
+	}
+}

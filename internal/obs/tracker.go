@@ -93,6 +93,9 @@ func (t *Tracker) Emit(e Event) {
 		if e.Err != "" {
 			js.State, js.Error = "failed", e.Err
 		}
+		if e.Detail != "" {
+			js.Detail = e.Detail
+		}
 	case JobSubmitted:
 		js := t.stateLocked(e.Job, "job")
 		js.Parent = e.Parent

@@ -20,6 +20,7 @@ package recordio
 import (
 	"bytes"
 	"fmt"
+	"slices"
 )
 
 const (
@@ -82,10 +83,20 @@ func (w *Writer) Add(key, value string) {
 	w.sinceSync += len(w.buf) - n
 }
 
+// Reset empties the writer back to a bare header and reserves room
+// for n more bytes, keeping its buffer, so one writer can encode a
+// sequence of files. The previous Bytes are overwritten.
+func (w *Writer) Reset(n int) {
+	w.buf = append(w.buf[:0], fileHeader[:]...)
+	w.buf = slices.Grow(w.buf, n)
+	w.sinceSync = 0
+}
+
 // Len returns the current encoded size in bytes.
 func (w *Writer) Len() int { return len(w.buf) }
 
-// Bytes returns the encoded file. The writer must not be reused after.
+// Bytes returns the encoded file. It is valid until the next Add or
+// Reset.
 func (w *Writer) Bytes() []byte { return w.buf }
 
 // ScanAll iterates every record of a complete in-memory record file.

@@ -192,3 +192,20 @@ func TestWriterEmitsSyncMarkers(t *testing.T) {
 		t.Fatalf("found %d sync markers, want at least 10", count)
 	}
 }
+
+// TestWriterResetReuse encodes several files through one reset writer;
+// each must equal the file a fresh writer produces.
+func TestWriterResetReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	w := NewWriter()
+	for i, n := range []int{300, 0, 40, 700} {
+		kvs := randKVs(rng, n)
+		w.Reset(i * 1000)
+		for _, kv := range kvs {
+			w.Add(kv[0], kv[1])
+		}
+		if want := buildFile(t, kvs); string(w.Bytes()) != string(want) {
+			t.Fatalf("file %d: reset writer wrote %d bytes, fresh writer %d, contents differ", i, w.Len(), len(want))
+		}
+	}
+}

@@ -97,29 +97,33 @@ func (t Trace) Record() string {
 		t.User, t.Point.Lat, t.Point.Lon, t.AltitudeFeet, t.Time.Unix())
 }
 
-// ParseRecord parses the internal record form produced by Record.
+// ParseRecord parses the internal record form produced by Record. It
+// cuts the four value fields in place, so a valid record parses
+// without allocating; the User field is a substring of rec.
 func ParseRecord(rec string) (Trace, error) {
 	user, rest, ok := strings.Cut(rec, "\t")
 	if !ok {
 		return Trace{}, fmt.Errorf("trace: record missing tab: %q", rec)
 	}
-	fields := strings.Split(rest, ",")
-	if len(fields) != 4 {
-		return Trace{}, fmt.Errorf("trace: record has %d value fields, want 4: %q", len(fields), rec)
+	if n := strings.Count(rest, ",") + 1; n != 4 {
+		return Trace{}, fmt.Errorf("trace: record has %d value fields, want 4: %q", n, rec)
 	}
-	lat, err := strconv.ParseFloat(fields[0], 64)
+	latS, rest, _ := strings.Cut(rest, ",")
+	lonS, rest, _ := strings.Cut(rest, ",")
+	altS, unixS, _ := strings.Cut(rest, ",")
+	lat, err := strconv.ParseFloat(latS, 64)
 	if err != nil {
 		return Trace{}, fmt.Errorf("trace: bad latitude in record %q: %v", rec, err)
 	}
-	lon, err := strconv.ParseFloat(fields[1], 64)
+	lon, err := strconv.ParseFloat(lonS, 64)
 	if err != nil {
 		return Trace{}, fmt.Errorf("trace: bad longitude in record %q: %v", rec, err)
 	}
-	alt, err := strconv.ParseFloat(fields[2], 64)
+	alt, err := strconv.ParseFloat(altS, 64)
 	if err != nil {
 		return Trace{}, fmt.Errorf("trace: bad altitude in record %q: %v", rec, err)
 	}
-	unix, err := strconv.ParseInt(fields[3], 10, 64)
+	unix, err := strconv.ParseInt(unixS, 10, 64)
 	if err != nil {
 		return Trace{}, fmt.Errorf("trace: bad unix time in record %q: %v", rec, err)
 	}
