@@ -35,7 +35,14 @@ const (
 	kindFlaky     = "rpctest/wordcount-flaky-cleanup"
 )
 
-func wcMap(ctx *mapreduce.TaskContext, _, value string, emit mapreduce.Emit) error {
+// strJob is the all-string job shape of these tests: RawString codecs
+// at every position.
+type (
+	strJob  = mapreduce.TypedJob[string, string, string, string, string, string]
+	strEmit = mapreduce.TypedEmit[string, string]
+)
+
+func wcMap(ctx *mapreduce.TaskContext, _, value string, emit strEmit) error {
 	for _, w := range strings.Fields(value) {
 		ctx.Counter("rpctest", "words").Inc(1)
 		emit(w, "1")
@@ -43,7 +50,7 @@ func wcMap(ctx *mapreduce.TaskContext, _, value string, emit mapreduce.Emit) err
 	return nil
 }
 
-func sumReduce(_ *mapreduce.TaskContext, key string, values []string, emit mapreduce.Emit) error {
+func sumReduce(_ *mapreduce.TaskContext, key string, values []string, emit strEmit) error {
 	total := 0
 	for _, v := range values {
 		n, err := strconv.Atoi(v)
@@ -58,55 +65,72 @@ func sumReduce(_ *mapreduce.TaskContext, key string, values []string, emit mapre
 
 // flakyCleanupMapper is wcMap whose first attempt of map-0000 fails in
 // Cleanup, after every per-word counter tick has landed.
-type flakyCleanupMapper struct{ mapreduce.MapperBase }
+type flakyCleanupMapper struct {
+	mapreduce.TypedMapperBase[string, string]
+}
 
-func (flakyCleanupMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.Emit) error {
+func (flakyCleanupMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit strEmit) error {
 	return wcMap(ctx, key, value, emit)
 }
 
-func (flakyCleanupMapper) Cleanup(ctx *mapreduce.TaskContext, _ mapreduce.Emit) error {
+func (flakyCleanupMapper) Cleanup(ctx *mapreduce.TaskContext, _ strEmit) error {
 	if ctx.TaskID == "map-0000" && ctx.Attempt == 0 {
 		return fmt.Errorf("injected cleanup failure")
 	}
 	return nil
 }
 
-func upperMap(_ *mapreduce.TaskContext, _, value string, emit mapreduce.Emit) error {
+func upperMap(_ *mapreduce.TaskContext, _, value string, emit strEmit) error {
 	emit(strings.ToUpper(value), value)
 	return nil
 }
 
-func init() {
-	mapreduce.RegisterKind(kindWordCount, mapreduce.JobKind{
-		NewMapper:   func() mapreduce.Mapper { return mapreduce.MapFunc(wcMap) },
-		NewReducer:  func() mapreduce.Reducer { return mapreduce.ReduceFunc(sumReduce) },
-		NewCombiner: func() mapreduce.Reducer { return mapreduce.ReduceFunc(sumReduce) },
-	})
-	mapreduce.RegisterKind(kindUpper, mapreduce.JobKind{
-		NewMapper: func() mapreduce.Mapper { return mapreduce.MapFunc(upperMap) },
-	})
-	mapreduce.RegisterKind(kindFlaky, mapreduce.JobKind{
-		NewMapper:  func() mapreduce.Mapper { return flakyCleanupMapper{} },
-		NewReducer: func() mapreduce.Reducer { return mapreduce.ReduceFunc(sumReduce) },
-	})
+func mapperOf(f mapreduce.TypedMapFunc[string, string, string, string]) func() mapreduce.TypedMapper[string, string, string, string] {
+	return func() mapreduce.TypedMapper[string, string, string, string] { return f }
 }
 
-// wordCountJob builds the job both backends run. The function fields
-// matter only to the in-process run; the RPC run ships the Kind.
-func wordCountJob(withCombiner bool) *mapreduce.Job {
-	j := &mapreduce.Job{
-		Name:        "rpc-wordcount",
-		Kind:        kindWordCount,
-		InputPaths:  []string{"in"},
-		OutputPath:  "out",
-		NewMapper:   func() mapreduce.Mapper { return mapreduce.MapFunc(wcMap) },
-		NewReducer:  func() mapreduce.Reducer { return mapreduce.ReduceFunc(sumReduce) },
+func sumReducer() mapreduce.TypedReducer[string, string, string, string] {
+	return mapreduce.TypedReduceFunc[string, string, string, string](sumReduce)
+}
+
+// testJob is the typed template every test job here is built from:
+// text lines under "in", records under "out", three reducers unless
+// the job is map-only.
+func testJob(name, kind string, m func() mapreduce.TypedMapper[string, string, string, string], r func() mapreduce.TypedReducer[string, string, string, string]) *strJob {
+	raw := recordio.RawString{}
+	return &strJob{
+		Name: name, Kind: kind, InputPaths: []string{"in"}, OutputPath: "out",
+		Mapper: m, Reducer: r,
+		InputKey: raw, InputValue: raw, MapKey: raw, MapValue: raw, OutputKey: raw, OutputValue: raw,
 		NumReducers: 3,
 	}
+}
+
+// wordCountJob builds the job both backends run. The in-process run
+// uses its lowered functions; the RPC run ships the Kind, whose
+// template registered the same functions.
+func wordCountJob(withCombiner bool) *mapreduce.Job {
+	tj := testJob("rpc-wordcount", kindWordCount, mapperOf(wcMap), sumReducer)
 	if withCombiner {
-		j.NewCombiner = func() mapreduce.Reducer { return mapreduce.ReduceFunc(sumReduce) }
+		tj.Combiner = sumReducer
 	}
-	return j
+	return tj.Build()
+}
+
+func flakyJob() *mapreduce.Job {
+	return testJob("rpc-flaky-wordcount", kindFlaky,
+		func() mapreduce.TypedMapper[string, string, string, string] { return flakyCleanupMapper{} },
+		sumReducer).Build()
+}
+
+func upperJob() *mapreduce.Job {
+	return testJob("rpc-upper", kindUpper, mapperOf(upperMap), nil).Build()
+}
+
+func init() {
+	mapreduce.RegisterKind(kindWordCount, mapreduce.KindOf(wordCountJob(true)))
+	mapreduce.RegisterKind(kindUpper, mapreduce.KindOf(upperJob()))
+	mapreduce.RegisterKind(kindFlaky, mapreduce.KindOf(flakyJob()))
 }
 
 // newTopology builds one 3-node cluster + DFS; calling it twice yields
@@ -318,17 +342,7 @@ func TestRPCBackendMatchesInProcess(t *testing.T) {
 func TestUserCountersWinnerOnly(t *testing.T) {
 	const lines = 60
 	local, remote, localOut, remoteOut, _ := runBoth(t,
-		func() *mapreduce.Job {
-			return &mapreduce.Job{
-				Name:        "rpc-flaky-wordcount",
-				Kind:        kindFlaky,
-				InputPaths:  []string{"in"},
-				OutputPath:  "out",
-				NewMapper:   func() mapreduce.Mapper { return flakyCleanupMapper{} },
-				NewReducer:  func() mapreduce.Reducer { return mapreduce.ReduceFunc(sumReduce) },
-				NumReducers: 3,
-			}
-		},
+		flakyJob,
 		func(t *testing.T, fs *dfs.FileSystem) { seedWordInput(t, fs, lines) },
 		backendOpts{})
 	assertSameOutput(t, localOut, remoteOut)
@@ -350,16 +364,7 @@ func TestUserCountersWinnerOnly(t *testing.T) {
 }
 
 func TestRPCBackendMapOnly(t *testing.T) {
-	job := func() *mapreduce.Job {
-		return &mapreduce.Job{
-			Name:       "rpc-upper",
-			Kind:       kindUpper,
-			InputPaths: []string{"in"},
-			OutputPath: "out",
-			NewMapper:  func() mapreduce.Mapper { return mapreduce.MapFunc(upperMap) },
-		}
-	}
-	_, _, localOut, remoteOut, _ := runBoth(t, job,
+	_, _, localOut, remoteOut, _ := runBoth(t, upperJob,
 		func(t *testing.T, fs *dfs.FileSystem) { seedWordInput(t, fs, 40) },
 		backendOpts{})
 	assertSameOutput(t, localOut, remoteOut)

@@ -625,7 +625,7 @@ func (x *rpcExecutor) RunTask(ctx context.Context, spec mapreduce.TaskSpec) (map
 	if w == nil {
 		return mapreduce.TaskResult{}, fmt.Errorf("rpc: no worker registered for node %s", spec.Node)
 	}
-	wire, err := spec.Job.Wire(spec.ShuffleBudget)
+	wire, err := spec.Job.Wire()
 	if err != nil {
 		return mapreduce.TaskResult{}, err
 	}
@@ -645,8 +645,7 @@ func (x *rpcExecutor) RunTask(ctx context.Context, spec mapreduce.TaskSpec) (map
 	args := assignArgs{
 		JobSeq: x.jobSeq, Job: wire, Phase: spec.Phase, TaskID: spec.TaskID, Index: spec.Index,
 		Attempt: spec.Attempt, Node: spec.Node, MapOnly: spec.MapOnly,
-		NumReducers: spec.NumReducers, ShuffleBudget: spec.ShuffleBudget,
-		Split: spec.Split, Partition: spec.Partition, Runs: spec.Runs,
+		NumReducers: spec.NumReducers, Split: spec.Split, Partition: spec.Partition, Runs: spec.Runs,
 	}
 	jt.log.Debug("assigning attempt", "job", spec.Job.Name, "task", spec.TaskID, "attempt", spec.Attempt, "worker", spec.Node)
 	assigned := time.Now()

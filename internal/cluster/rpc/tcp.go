@@ -3,8 +3,25 @@ package rpc
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"time"
+)
+
+// defaultCallTimeout bounds one request/reply exchange: the client's
+// default TCPNetwork.CallTimeout, and the server's read deadline for
+// the request it answers.
+const defaultCallTimeout = 30 * time.Second
+
+// Server-side request limits. A peer that stalls mid-request or
+// streams an unbounded request must not pin a goroutine and its
+// buffer forever, so the server reads a request within
+// serverReadTimeout and at most maxRequestBytes of it — larger than
+// any DFS file a task ships through dfs.create here. Variables only so
+// tests can shrink them; they are not options.
+var (
+	serverReadTimeout       = defaultCallTimeout
+	maxRequestBytes   int64 = 1 << 30
 )
 
 // wireRequest / wireResponse frame one RPC on a TCP connection. The
@@ -47,7 +64,7 @@ func (n *TCPNetwork) callTimeout() time.Duration {
 	if n.CallTimeout > 0 {
 		return n.CallTimeout
 	}
-	return 30 * time.Second
+	return defaultCallTimeout
 }
 
 // Call implements Transport.
@@ -94,9 +111,14 @@ func Serve(ln net.Listener, srv *Server) error {
 
 func serveConn(conn net.Conn, srv *Server) {
 	defer conn.Close()
+	if err := conn.SetReadDeadline(time.Now().Add(serverReadTimeout)); err != nil {
+		return
+	}
 	var req wireRequest
-	if err := gob.NewDecoder(conn).Decode(&req); err != nil {
-		return // framing failure: nothing valid to reply to
+	if err := gob.NewDecoder(io.LimitReader(conn, maxRequestBytes)).Decode(&req); err != nil {
+		// Framing failure, a stalled peer or an oversized request:
+		// nothing valid to reply to, and nothing is dispatched.
+		return
 	}
 	var resp wireResponse
 	out, err := srv.dispatch(req.Method, req.Body)

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -106,6 +107,52 @@ func TestTCPNetworkRoundTrip(t *testing.T) {
 	dead := &TCPNetwork{DialTimeout: 200 * time.Millisecond}
 	if err := dead.Call("127.0.0.1:1", "echo", &echoArgs{}, &reply); err == nil {
 		t.Fatal("dial to closed port: expected error")
+	}
+}
+
+// TestTCPServerDropsOversizedRequest checks the server's request
+// limits: a request over maxRequestBytes is dropped undispatched, a
+// peer that sends nothing is cut off at the read deadline, and normal
+// calls keep working afterwards.
+func TestTCPServerDropsOversizedRequest(t *testing.T) {
+	defer func(n int64, d time.Duration) { maxRequestBytes, serverReadTimeout = n, d }(maxRequestBytes, serverReadTimeout)
+	maxRequestBytes, serverReadTimeout = 4096, 200*time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var calls atomic.Int64
+	go func() { _ = Serve(ln, newEchoServer(&calls)) }()
+	tr := &TCPNetwork{}
+	addr := ln.Addr().String()
+
+	var reply echoReply
+	err = tr.Call(addr, "echo", &echoArgs{Msg: strings.Repeat("x", 2*int(maxRequestBytes))}, &reply)
+	if !IsTransportError(err) {
+		t.Fatalf("oversized call: err = %v, want a transport error", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("oversized request dispatched %d times", n)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("silent peer: read = %v, want EOF once the server's deadline closes it", err)
+	}
+
+	if err := tr.Call(addr, "echo", &echoArgs{Msg: "still here"}, &reply); err != nil || reply.Msg != "still here" {
+		t.Fatalf("normal call after the drops: reply %q, err %v", reply.Msg, err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("handler ran %d times, want 1", n)
 	}
 }
 

@@ -17,19 +17,18 @@ import (
 // sequence of the submitted job, which tells apart two runs of a job
 // with the same name.
 type assignArgs struct {
-	JobSeq        uint64
-	Job           mapreduce.JobWire
-	Phase         string
-	TaskID        string
-	Index         int
-	Attempt       int
-	Node          string
-	MapOnly       bool
-	NumReducers   int
-	ShuffleBudget int64
-	Split         mapreduce.InputSplit
-	Partition     int
-	Runs          []mapreduce.RunDesc
+	JobSeq      uint64
+	Job         mapreduce.JobWire
+	Phase       string
+	TaskID      string
+	Index       int
+	Attempt     int
+	Node        string
+	MapOnly     bool
+	NumReducers int
+	Split       mapreduce.InputSplit
+	Partition   int
+	Runs        []mapreduce.RunDesc
 }
 
 type assignReply struct{}
@@ -317,8 +316,7 @@ func (w *Worker) execute(a assignArgs) (mapreduce.TaskResult, error) {
 	spec := mapreduce.TaskSpec{
 		Job: job, Phase: a.Phase, TaskID: a.TaskID, Index: a.Index,
 		Attempt: a.Attempt, Node: a.Node, MapOnly: a.MapOnly,
-		NumReducers: a.NumReducers, ShuffleBudget: a.ShuffleBudget,
-		Split: a.Split, Partition: a.Partition, Runs: a.Runs,
+		NumReducers: a.NumReducers, Split: a.Split, Partition: a.Partition, Runs: a.Runs,
 	}
 	return mapreduce.ExecuteTask(w.store, spec)
 }

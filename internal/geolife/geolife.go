@@ -376,26 +376,39 @@ func WriteRecords(fs *dfs.FileSystem, dir string, ds *trace.Dataset) error {
 // files instead of one file per user. Used by the benchmark harness so
 // the DFS chunk size (not the per-user file boundaries) determines the
 // number of map tasks, as in the paper's single-directory uploads.
+// The first files hold ceil(traces/numFiles) traces each, in dataset
+// order; the last takes the rest, and files past the data are empty.
 func WriteRecordsConcat(fs *dfs.FileSystem, dir string, ds *trace.Dataset, numFiles int) error {
 	if numFiles < 1 {
 		numFiles = 1
 	}
-	var bufs = make([]strings.Builder, numFiles)
-	total := ds.NumTraces()
-	perFile := (total + numFiles - 1) / numFiles
-	i := 0
+	perFile := (ds.NumTraces() + numFiles - 1) / numFiles
+	// dfs.Create copies what it stores, so one buffer, grown to the
+	// largest file, is built and uploaded once per file in turn.
+	var buf []byte
+	f, n := 0, 0
+	create := func() error {
+		path := fmt.Sprintf("%s/part-%03d.rec", dir, f)
+		if err := fs.Create(path, buf, ""); err != nil {
+			return fmt.Errorf("geolife: uploading %s: %v", path, err)
+		}
+		f, n, buf = f+1, 0, buf[:0]
+		return nil
+	}
 	for _, tr := range ds.Trails {
 		for _, t := range tr.Traces {
-			b := &bufs[i/perFile]
-			b.WriteString(t.Record())
-			b.WriteByte('\n')
-			i++
+			buf = append(buf, t.Record()...)
+			buf = append(buf, '\n')
+			if n++; n == perFile {
+				if err := create(); err != nil {
+					return err
+				}
+			}
 		}
 	}
-	for f := 0; f < numFiles; f++ {
-		path := fmt.Sprintf("%s/part-%03d.rec", dir, f)
-		if err := fs.Create(path, []byte(bufs[f].String()), ""); err != nil {
-			return fmt.Errorf("geolife: uploading %s: %v", path, err)
+	for f < numFiles {
+		if err := create(); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package geolife
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -192,6 +193,38 @@ func TestWriteRecordsConcat(t *testing.T) {
 	for _, sz := range sizes {
 		if sz < sizes[0]/2 || sz > sizes[0]*2 {
 			t.Fatalf("unbalanced concat files: %v", sizes)
+		}
+	}
+}
+
+// TestWriteRecordsConcatBytes pins the files' bytes against a
+// per-trace Record()+"\n" reference over splits that do not divide
+// evenly, including more files than traces.
+func TestWriteRecordsConcatBytes(t *testing.T) {
+	ds := Generate(Config{Users: 3, TotalTraces: 1001, Seed: 4})
+	all := ds.AllTraces()
+	for _, numFiles := range []int{1, 3, 7, 1002} {
+		fs := newTestFS(t, newTestCluster(t))
+		if err := WriteRecordsConcat(fs, "big", ds, numFiles); err != nil {
+			t.Fatal(err)
+		}
+		perFile := (len(all) + numFiles - 1) / numFiles
+		want := make([]string, numFiles)
+		for i, tr := range all {
+			want[i/perFile] += tr.Record() + "\n"
+		}
+		for f, w := range want {
+			path := fmt.Sprintf("big/part-%03d.rec", f)
+			got, err := fs.ReadAll(path)
+			if err != nil {
+				t.Fatalf("numFiles=%d: %v", numFiles, err)
+			}
+			if string(got) != w {
+				t.Fatalf("numFiles=%d: %s holds %d bytes, want %d", numFiles, path, len(got), len(w))
+			}
+		}
+		if files := fs.List("big"); len(files) != numFiles {
+			t.Fatalf("numFiles=%d: %d files written", numFiles, len(files))
 		}
 	}
 }

@@ -50,10 +50,6 @@ type KMeansOptions struct {
 	// merge (see mapreduce.Job.MaxShuffleBytes). 0 keeps the
 	// all-in-memory shuffle.
 	MaxShuffleBytes int64
-	// MemoryTargetBytes derives a per-task shuffle budget from a total
-	// memory target when MaxShuffleBytes is unset; see
-	// mapreduce.Job.MemoryTargetBytes.
-	MemoryTargetBytes int64
 	// CompressSpill DEFLATE-compresses spill run files.
 	CompressSpill bool
 }
@@ -132,18 +128,17 @@ func KMeansMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts KMe
 			Reducer: func() mapreduce.TypedReducer[int64, recordio.PointSum, int64, recordio.PointSum] {
 				return kmeansReducer{}
 			},
-			InputKey:          recordio.RawString{},
-			InputValue:        recordio.Point{},
-			MapKey:            recordio.Int64{},
-			MapValue:          recordio.PointSumCodec{},
-			OutputKey:         recordio.Int64{},
-			OutputValue:       recordio.PointSumCodec{},
-			NumReducers:       reducersFor(e, opts.K),
-			Conf:              map[string]string{confKMeansDistance: opts.Distance.String()},
-			Cache:             map[string][]byte{cacheCentroids: marshalCentroids(centroids)},
-			MaxShuffleBytes:   opts.MaxShuffleBytes,
-			MemoryTargetBytes: opts.MemoryTargetBytes,
-			CompressSpill:     opts.CompressSpill,
+			InputKey:        recordio.RawString{},
+			InputValue:      recordio.Point{},
+			MapKey:          recordio.Int64{},
+			MapValue:        recordio.PointSumCodec{},
+			OutputKey:       recordio.Int64{},
+			OutputValue:     recordio.PointSumCodec{},
+			NumReducers:     reducersFor(e, opts.K),
+			Conf:            map[string]string{confKMeansDistance: opts.Distance.String()},
+			Cache:           map[string][]byte{cacheCentroids: marshalCentroids(centroids)},
+			MaxShuffleBytes: opts.MaxShuffleBytes,
+			CompressSpill:   opts.CompressSpill,
 		}
 		if opts.UseCombiner {
 			tj.Combiner = func() mapreduce.TypedReducer[int64, recordio.PointSum, int64, recordio.PointSum] {

@@ -5,11 +5,11 @@
 // bytes. A typed job whose MapKey codec does not preserve the key
 // type's order in its encoding (e.g. decimal strings: "10" < "9")
 // silently groups and orders reduce input wrongly. The contract: any
-// TypedJob with a Reducer or Combiner must either use a MapKey codec
-// implementing mapreduce.RawComparer (the codec vouches for byte
-// order: recordio.Int64, Uint64, Float64, RawString, ...) or declare
-// an explicit KeyCompare function. Map-only jobs never sort and are
-// exempt.
+// TypedJob with a Reducer or Combiner must use a MapKey codec
+// implementing mapreduce.RawComparer — the codec vouches for its
+// order (recordio.Int64, Uint64, Float64, RawString, ...), and its
+// RawCompare is the job's only key order. Map-only jobs never sort
+// and are exempt.
 package rawkeyorder
 
 import (
@@ -24,7 +24,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "rawkeyorder",
 	Doc: "a TypedJob with a Reducer or Combiner sorts by encoded key bytes; its MapKey " +
-		"codec must implement mapreduce.RawComparer or the job must set KeyCompare",
+		"codec must implement mapreduce.RawComparer",
 	Run: run,
 }
 
@@ -62,14 +62,11 @@ func checkJobLit(pass *analysis.Pass, lit *ast.CompositeLit) {
 	if !fieldSet(pass, fields, "Reducer") && !fieldSet(pass, fields, "Combiner") {
 		return // map-only: the engine never sorts these keys
 	}
-	if fieldSet(pass, fields, "KeyCompare") {
-		return // explicit comparator overrides byte order
-	}
 	mk, ok := fields["MapKey"]
 	if !ok {
 		pass.Reportf(lit.Pos(),
 			"TypedJob has a reducer but no MapKey codec: the shuffle sort has no key order; "+
-				"set an order-preserving MapKey codec or KeyCompare")
+				"set an order-preserving MapKey codec")
 		return
 	}
 	mkType := pass.TypesInfo.TypeOf(mk)
@@ -86,8 +83,7 @@ func checkJobLit(pass *analysis.Pass, lit *ast.CompositeLit) {
 	pass.Reportf(mk.Pos(),
 		"MapKey codec %s does not implement mapreduce.RawComparer: the shuffle sorts raw "+
 			"encoded bytes, which need not follow the key type's order; use an "+
-			"order-preserving codec (recordio.Int64, Uint64, Float64, RawString, UserTime) "+
-			"or set KeyCompare",
+			"order-preserving codec (recordio.Int64, Uint64, Float64, RawString, UserTime)",
 		types.TypeString(mkType, types.RelativeTo(pass.Pkg)))
 }
 

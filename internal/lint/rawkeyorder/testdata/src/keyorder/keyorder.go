@@ -1,6 +1,6 @@
 // Package keyorder exercises the rawkeyorder analyzer: typed jobs
 // with reducers must pair the raw-byte shuffle sort with an
-// order-preserving MapKey codec or an explicit KeyCompare.
+// order-preserving MapKey codec.
 package keyorder
 
 import (
@@ -53,24 +53,19 @@ var goodJob = mapreduce.TypedJob[string, string, int64, string, int64, string]{
 	MapValue: recordio.RawString{},
 }
 
-// comparedJob keeps the non-preserving codec but declares the order
-// explicitly: accepted.
-var comparedJob = mapreduce.TypedJob[string, string, int64, string, int64, string]{
-	Name:    "compared",
-	Mapper:  idMapper,
-	Reducer: sumReducer,
-	MapKey:  DecimalInt{},
-	KeyCompare: func(a, b string) int {
-		x, _ := strconv.ParseInt(a, 10, 64)
-		y, _ := strconv.ParseInt(b, 10, 64)
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-		return 0
-	},
+// DescInt64 orders big-endian int64 keys descending: a RawComparer
+// with its own order.
+type DescInt64 struct{ recordio.Int64 }
+
+// RawCompare implements RawComparer, reversing byte order.
+func (DescInt64) RawCompare(a, b string) int { return recordio.Int64{}.RawCompare(b, a) }
+
+// descJob sorts by a codec that declares its own order: accepted.
+var descJob = mapreduce.TypedJob[string, string, int64, string, int64, string]{
+	Name:     "desc",
+	Mapper:   idMapper,
+	Reducer:  sumReducer,
+	MapKey:   DescInt64{},
 	MapValue: recordio.RawString{},
 }
 

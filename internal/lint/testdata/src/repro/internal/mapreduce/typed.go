@@ -93,8 +93,6 @@ type TypedJob[KI, VI, KM, VM, KO, VO any] struct {
 
 	NumReducers int
 	Partition   func(key KM, numReducers int) int
-	KeyCompare  func(a, b string) int
-	TextOutput  bool
 
 	Conf map[string]string
 }

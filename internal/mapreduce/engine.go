@@ -96,28 +96,6 @@ func (l *attemptLog) snapshot() []obs.AttemptRecord {
 	return append([]obs.AttemptRecord(nil), l.recs...)
 }
 
-// shuffleBudgetFor resolves a job's per-task spill budget: the manual
-// MaxShuffleBytes knob wins; otherwise MemoryTargetBytes is divided by
-// the cluster's concurrent task slots (the worst case of every slot's
-// map task buffering at once); otherwise 0, the all-in-memory shuffle.
-func (e *Engine) shuffleBudgetFor(job *Job) int64 {
-	if job.MaxShuffleBytes > 0 {
-		return job.MaxShuffleBytes
-	}
-	if job.MemoryTargetBytes <= 0 {
-		return 0
-	}
-	slots := e.cluster.TotalSlots()
-	if slots < 1 {
-		slots = 1
-	}
-	budget := job.MemoryTargetBytes / int64(slots)
-	if budget < 1 {
-		budget = 1
-	}
-	return budget
-}
-
 // jobRun is one submitted job's driver-side state, shared by the
 // phases Run sequences.
 type jobRun struct {
@@ -127,7 +105,6 @@ type jobRun struct {
 	local       *localExecutor // nil when an external executor runs the attempts
 	numReducers int
 	maxAttempts int
-	budget      int64
 	mapOnly     bool
 	splits      []InputSplit
 	res         *Result
@@ -166,8 +143,7 @@ func (e *Engine) submit(job *Job) (*jobRun, error) {
 	}
 	r := &jobRun{
 		e: e, job: job, numReducers: job.NumReducers, maxAttempts: job.MaxAttempts,
-		budget: e.shuffleBudgetFor(job), mapOnly: job.NewReducer == nil,
-		alog: &attemptLog{t0: start}, bus: e.opts.Obs,
+		mapOnly: job.newReducer == nil, alog: &attemptLog{t0: start}, bus: e.opts.Obs,
 	}
 	if r.numReducers <= 0 {
 		r.numReducers = 1
@@ -190,7 +166,7 @@ func (e *Engine) submit(job *Job) (*jobRun, error) {
 		r.local = &localExecutor{e: e}
 		r.exec = r.local
 	} else if r.exec.External() {
-		if _, err := job.Wire(r.budget); err != nil {
+		if _, err := job.Wire(); err != nil {
 			return nil, err
 		}
 	}
@@ -242,8 +218,7 @@ func (r *jobRun) mapPhase() ([]TaskResult, error) {
 	for i, sp := range r.splits {
 		specs[i] = TaskSpec{
 			Job: job, Phase: "map", TaskID: fmt.Sprintf("map-%04d", i), Index: i,
-			MapOnly: r.mapOnly, NumReducers: r.numReducers, ShuffleBudget: r.budget,
-			Split: sp,
+			MapOnly: r.mapOnly, NumReducers: r.numReducers, Split: sp,
 		}
 	}
 	results := make([]TaskResult, len(specs))
@@ -252,7 +227,7 @@ func (r *jobRun) mapPhase() ([]TaskResult, error) {
 		st := tr.Stats
 		cs.Get(CounterGroupTask, CounterMapInputRecords).Inc(st.MapInputRecords)
 		cs.Get(CounterGroupTask, CounterMapOutputRecords).Inc(st.MapOutputRecords)
-		if job.NewCombiner != nil && !r.mapOnly {
+		if job.newCombiner != nil && !r.mapOnly {
 			cs.Get(CounterGroupTask, CounterCombineInput).Inc(st.CombineInputRecords)
 			cs.Get(CounterGroupTask, CounterCombineOutput).Inc(st.CombineOutputRecords)
 		}
@@ -338,7 +313,7 @@ func (r *jobRun) shuffle(maps []TaskResult) [][]run {
 			defer mergeWG.Done()
 			defer func() { <-sem }()
 			mergeStart := time.Now()
-			merged := run{mem: mergeRuns(inputs[p], job.KeyCompare)}
+			merged := run{mem: mergeRuns(inputs[p], job.keyCompare)}
 			// Release the map runs: merged now holds (or, for a lone
 			// run, aliases) the partition's data.
 			inputs[p] = nil
@@ -397,7 +372,7 @@ func (r *jobRun) reducePhase(inputs [][]run) ([]TaskResult, error) {
 	for p := range specs {
 		specs[p] = TaskSpec{
 			Job: job, Phase: "reduce", TaskID: fmt.Sprintf("reduce-%04d", p), Index: p,
-			NumReducers: r.numReducers, ShuffleBudget: r.budget, Partition: p,
+			NumReducers: r.numReducers, Partition: p,
 		}
 	}
 	if r.local != nil {
@@ -458,7 +433,7 @@ func (r *jobRun) cleanup() {
 	if derr := r.e.fs.DeleteDir(tmpDir(r.job.Name)); derr != nil {
 		cs.Get(CounterGroupShuffle, CounterShuffleSpillCleanupErrors).Inc(1)
 	}
-	if r.mapOnly || (r.budget <= 0 && !r.exec.External()) {
+	if r.mapOnly || (r.job.MaxShuffleBytes <= 0 && !r.exec.External()) {
 		return
 	}
 	if derr := r.e.fs.DeleteDir(spillDir(r.job)); derr != nil {
@@ -529,32 +504,20 @@ func shuffleDetail(runs, records, bytes []int64) string {
 	return sb.String()
 }
 
-// encodePartFile renders records in the part-file format — recordio
-// binary records, or "key\tvalue" text lines. It is shared by the
-// driver's commit path and the out-of-process workers, which is what
-// makes remote part files byte-identical to in-process ones.
-func encodePartFile(kvs []KV, binary bool) []byte {
-	if binary {
-		w := recordio.NewWriter()
-		for _, kv := range kvs {
-			w.Add(kv.Key, kv.Value)
-		}
-		return w.Bytes()
-	}
-	var sb strings.Builder
+// encodePartFile renders records as a recordio record file, the
+// format of every part file. It is shared by both backends' task
+// attempts, which is what makes remote part files byte-identical to
+// in-process ones.
+func encodePartFile(kvs []KV) []byte {
+	w := recordio.NewWriter()
 	for _, kv := range kvs {
-		sb.WriteString(kv.Key)
-		sb.WriteByte('\t')
-		sb.WriteString(kv.Value)
-		sb.WriteByte('\n')
+		w.Add(kv.Key, kv.Value)
 	}
-	return []byte(sb.String())
+	return w.Bytes()
 }
 
 // ReadOutput reads back all part files of a completed job's output
-// directory as KV records, in part-file order. Each file's format —
-// binary record file or text lines — is sniffed from its header, so
-// mixed outputs read uniformly.
+// directory as KV records, in part-file order.
 func (e *Engine) ReadOutput(outputPath string) ([]KV, error) {
 	files := e.fs.List(outputPath)
 	if len(files) == 0 {
@@ -566,22 +529,12 @@ func (e *Engine) ReadOutput(outputPath string) ([]KV, error) {
 		if err != nil {
 			return nil, err
 		}
-		if recordio.IsRecordData(data) {
-			err := recordio.ScanAll(data, func(k, v string) error {
-				out = append(out, KV{Key: k, Value: v})
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line == "" {
-				continue
-			}
-			k, v, _ := strings.Cut(line, "\t")
-			out = append(out, KV{k, v})
+		err = recordio.ScanAll(data, func(k, v string) error {
+			out = append(out, KV{Key: k, Value: v})
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("mapreduce: %s: %v", f, err)
 		}
 	}
 	return out, nil
@@ -607,8 +560,8 @@ func validate(job *Job) error {
 	if job.Name == "" {
 		return fmt.Errorf("mapreduce: job needs a name")
 	}
-	if job.NewMapper == nil {
-		return fmt.Errorf("mapreduce: job %s: NewMapper is required", job.Name)
+	if job.newMapper == nil {
+		return fmt.Errorf("mapreduce: job %s: no mapper (build jobs with TypedJob.Build)", job.Name)
 	}
 	if len(job.InputPaths) == 0 {
 		return fmt.Errorf("mapreduce: job %s: no input paths", job.Name)
@@ -616,7 +569,7 @@ func validate(job *Job) error {
 	if job.OutputPath == "" {
 		return fmt.Errorf("mapreduce: job %s: no output path", job.Name)
 	}
-	if job.NewCombiner != nil && job.NewReducer == nil {
+	if job.newCombiner != nil && job.newReducer == nil {
 		return fmt.Errorf("mapreduce: job %s: combiner without reducer", job.Name)
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/recordio"
 )
 
 // newTestEngine builds an engine over a small cluster with a small
@@ -29,10 +30,42 @@ func newTestEngine(t *testing.T, chunkSize int64) *Engine {
 	return NewEngine(c, fs, Options{})
 }
 
-// wordMapper tokenizes lines into (word, 1) pairs.
-type wordMapper struct{ MapperBase }
+// strJob is the all-string job the engine tests build on: RawString
+// codecs at every position (see build), so keys and values reach the
+// user code exactly as they sit in the input and part files.
+type (
+	strJob        = TypedJob[string, string, string, string, string, string]
+	strMapper     = TypedMapper[string, string, string, string]
+	strReducer    = TypedReducer[string, string, string, string]
+	strMapFunc    = TypedMapFunc[string, string, string, string]
+	strReduceFunc = TypedReduceFunc[string, string, string, string]
+	strEmit       = TypedEmit[string, string]
+)
 
-func (wordMapper) Map(_ *TaskContext, _, value string, emit Emit) error {
+// build sets every codec tj leaves nil to RawString and lowers it.
+func build(tj strJob) *Job {
+	for _, c := range []*Codec[string]{
+		&tj.InputKey, &tj.InputValue, &tj.MapKey, &tj.MapValue, &tj.OutputKey, &tj.OutputValue,
+	} {
+		if *c == nil {
+			*c = recordio.RawString{}
+		}
+	}
+	return tj.Build()
+}
+
+// reversed flips a bytewise-ordered key codec into descending order:
+// the RawComparer a job needs for a custom sort order.
+type reversed[T any] struct{ Codec[T] }
+
+func (reversed[T]) RawCompare(a, b string) int { return strings.Compare(b, a) }
+
+// wordMapper tokenizes lines into (word, 1) pairs.
+type wordMapper struct {
+	TypedMapperBase[string, string]
+}
+
+func (wordMapper) Map(_ *TaskContext, _, value string, emit strEmit) error {
 	for _, w := range strings.Fields(value) {
 		emit(w, "1")
 	}
@@ -40,9 +73,11 @@ func (wordMapper) Map(_ *TaskContext, _, value string, emit Emit) error {
 }
 
 // sumReducer sums integer values per key.
-type sumReducer struct{ ReducerBase }
+type sumReducer struct {
+	TypedReducerBase[string, string]
+}
 
-func (sumReducer) Reduce(_ *TaskContext, key string, values []string, emit Emit) error {
+func (sumReducer) Reduce(_ *TaskContext, key string, values []string, emit strEmit) error {
 	total := 0
 	for _, v := range values {
 		n, err := strconv.Atoi(v)
@@ -67,14 +102,14 @@ func TestWordCountEndToEnd(t *testing.T) {
 	text := strings.Repeat("the quick brown fox jumps over the lazy dog\n", 50)
 	writeInput(t, e, "in/text", text)
 
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:        "wordcount",
 		InputPaths:  []string{"in"},
 		OutputPath:  "out",
-		NewMapper:   func() Mapper { return wordMapper{} },
-		NewReducer:  func() Reducer { return sumReducer{} },
+		Mapper:      func() strMapper { return wordMapper{} },
+		Reducer:     func() strReducer { return sumReducer{} },
 		NumReducers: 3,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,23 +162,23 @@ func TestNoRecordLossAcrossChunkBoundaries(t *testing.T) {
 			fmt.Fprintf(&sb, "rec%04d\n", i)
 		}
 		writeInput(t, e, "in/f", sb.String())
-		_, err := e.Run(&Job{
+		_, err := e.Run(build(strJob{
 			Name:       "identity",
 			InputPaths: []string{"in/f"},
 			OutputPath: "out",
-			NewMapper: func() Mapper {
-				return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
+			Mapper: func() strMapper {
+				return strMapFunc(func(_ *TaskContext, _, v string, emit strEmit) error {
 					emit(v, "x")
 					return nil
 				})
 			},
-			NewReducer: func() Reducer {
-				return ReduceFunc(func(_ *TaskContext, k string, vs []string, emit Emit) error {
+			Reducer: func() strReducer {
+				return strReduceFunc(func(_ *TaskContext, k string, vs []string, emit strEmit) error {
 					emit(k, strconv.Itoa(len(vs)))
 					return nil
 				})
 			},
-		})
+		}))
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
@@ -167,19 +202,19 @@ func TestRecordOffsetsAreFileOffsets(t *testing.T) {
 	writeInput(t, e, "in/f", "aaaa\nbbbb\ncccc\ndddd\n")
 	var mu sync.Mutex
 	offsets := map[string]string{}
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "offsets",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, k, v string, _ Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, k, v string, _ strEmit) error {
 				mu.Lock()
 				offsets[v] = k
 				mu.Unlock()
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,19 +229,19 @@ func TestRecordOffsetsAreFileOffsets(t *testing.T) {
 func TestMapOnlyJob(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "keep 1\ndrop 2\nkeep 3\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "filter",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, emit strEmit) error {
 				if strings.HasPrefix(v, "keep") {
 					emit("k", v)
 				}
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,21 +269,21 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 	writeInput(t, e1, "in/f", text)
 	writeInput(t, e2, "in/f", text)
 
-	base := &Job{
+	base := strJob{
 		Name:       "nocombine",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
 	}
-	r1, err := e1.Run(base)
+	r1, err := e1.Run(build(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	withComb := *base
+	withComb := base
 	withComb.Name = "combine"
-	withComb.NewCombiner = func() Reducer { return sumReducer{} }
-	r2, err := e2.Run(&withComb)
+	withComb.Combiner = func() strReducer { return sumReducer{} }
+	r2, err := e2.Run(build(withComb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +310,12 @@ func TestMapperStateAcrossRecordsAndCleanup(t *testing.T) {
 	// its split in order and be able to flush in Cleanup.
 	e := newTestEngine(t, 1<<20) // single chunk: one mapper
 	writeInput(t, e, "in/f", "1\n2\n3\n4\n5\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "stateful",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return &statefulSum{} },
-	})
+		Mapper:     func() strMapper { return &statefulSum{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +326,11 @@ func TestMapperStateAcrossRecordsAndCleanup(t *testing.T) {
 }
 
 type statefulSum struct {
-	MapperBase
+	TypedMapperBase[string, string]
 	sum int
 }
 
-func (m *statefulSum) Map(_ *TaskContext, _, v string, _ Emit) error {
+func (m *statefulSum) Map(_ *TaskContext, _, v string, _ strEmit) error {
 	n, err := strconv.Atoi(v)
 	if err != nil {
 		return err
@@ -304,7 +339,7 @@ func (m *statefulSum) Map(_ *TaskContext, _, v string, _ Emit) error {
 	return nil
 }
 
-func (m *statefulSum) Cleanup(_ *TaskContext, emit Emit) error {
+func (m *statefulSum) Cleanup(_ *TaskContext, emit strEmit) error {
 	emit("sum", strconv.Itoa(m.sum))
 	return nil
 }
@@ -315,14 +350,14 @@ func TestDistributedCacheAndConf(t *testing.T) {
 	var gotCache string
 	var gotConf, gotDefault string
 	var mu sync.Mutex
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "cache",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
 		Conf:       map[string]string{"window": "60"},
 		Cache:      map[string][]byte{"centroids": []byte("c1,c2")},
-		NewMapper: func() Mapper {
-			return MapFunc(func(ctx *TaskContext, _, _ string, _ Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(ctx *TaskContext, _, _ string, _ strEmit) error {
 				b, ok := ctx.CacheFile("centroids")
 				if !ok {
 					return fmt.Errorf("cache file missing")
@@ -338,7 +373,7 @@ func TestDistributedCacheAndConf(t *testing.T) {
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,13 +400,13 @@ func TestTaskRetryOnInjectedFailure(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", strings.Repeat("hello world\n", 20))
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "retry",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,13 +450,13 @@ func TestRetryAvoidsFailingNode(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", "x\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:        "avoid",
 		InputPaths:  []string{"in/f"},
 		OutputPath:  "out",
-		NewMapper:   func() Mapper { return wordMapper{} },
+		Mapper:      func() strMapper { return wordMapper{} },
 		MaxAttempts: 5,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,13 +483,13 @@ func TestJobFailsAfterMaxAttempts(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", "x\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:        "doomed",
 		InputPaths:  []string{"in/f"},
 		OutputPath:  "out",
-		NewMapper:   func() Mapper { return wordMapper{} },
+		Mapper:      func() strMapper { return wordMapper{} },
 		MaxAttempts: 2,
-	})
+	}))
 	if err == nil || !strings.Contains(err.Error(), "after 2 attempts") {
 		t.Fatalf("err = %v, want max-attempts failure", err)
 	}
@@ -463,17 +498,17 @@ func TestJobFailsAfterMaxAttempts(t *testing.T) {
 func TestMapperErrorFailsJob(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "boom\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "maperr",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, _ Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, _ strEmit) error {
 				return fmt.Errorf("cannot handle %q", v)
 			})
 		},
 		MaxAttempts: 1,
-	})
+	}))
 	if err == nil {
 		t.Fatal("want error from failing mapper")
 	}
@@ -482,18 +517,18 @@ func TestMapperErrorFailsJob(t *testing.T) {
 func TestReducerErrorFailsJob(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "a\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "rederr",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer {
-			return ReduceFunc(func(_ *TaskContext, _ string, _ []string, _ Emit) error {
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer: func() strReducer {
+			return strReduceFunc(func(_ *TaskContext, _ string, _ []string, _ strEmit) error {
 				return fmt.Errorf("reduce boom")
 			})
 		},
 		MaxAttempts: 1,
-	})
+	}))
 	if err == nil || !strings.Contains(err.Error(), "reduce boom") {
 		t.Fatalf("err = %v", err)
 	}
@@ -502,16 +537,16 @@ func TestReducerErrorFailsJob(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "x\n")
-	mapper := func() Mapper { return wordMapper{} }
-	cases := []*Job{
-		{InputPaths: []string{"in/f"}, OutputPath: "o", NewMapper: mapper},                                                                 // no name
-		{Name: "j", OutputPath: "o", NewMapper: mapper},                                                                                    // no input
-		{Name: "j", InputPaths: []string{"in/f"}, NewMapper: mapper},                                                                       // no output
-		{Name: "j", InputPaths: []string{"in/f"}, OutputPath: "o"},                                                                         // no mapper
-		{Name: "j", InputPaths: []string{"in/f"}, OutputPath: "o", NewMapper: mapper, NewCombiner: func() Reducer { return sumReducer{} }}, // combiner w/o reducer
+	mapper := func() strMapper { return wordMapper{} }
+	cases := []strJob{
+		{InputPaths: []string{"in/f"}, OutputPath: "o", Mapper: mapper},                                                                 // no name
+		{Name: "j", OutputPath: "o", Mapper: mapper},                                                                                    // no input
+		{Name: "j", InputPaths: []string{"in/f"}, Mapper: mapper},                                                                       // no output
+		{Name: "j", InputPaths: []string{"in/f"}, OutputPath: "o"},                                                                      // no mapper
+		{Name: "j", InputPaths: []string{"in/f"}, OutputPath: "o", Mapper: mapper, Combiner: func() strReducer { return sumReducer{} }}, // combiner w/o reducer
 	}
 	for i, j := range cases {
-		if _, err := e.Run(j); err == nil {
+		if _, err := e.Run(build(j)); err == nil {
 			t.Errorf("case %d: want validation error", i)
 		}
 	}
@@ -519,12 +554,12 @@ func TestValidationErrors(t *testing.T) {
 
 func TestMissingInputErrors(t *testing.T) {
 	e := newTestEngine(t, 64)
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "noin",
 		InputPaths: []string{"does/not/exist"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err == nil {
 		t.Fatal("want error for missing input")
 	}
@@ -534,12 +569,12 @@ func TestOutputExistsError(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "x\n")
 	writeInput(t, e, "out/part-m-00000", "old\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "clobber",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err == nil || !strings.Contains(err.Error(), "already exists") {
 		t.Fatalf("err = %v, want output-exists error", err)
 	}
@@ -548,35 +583,32 @@ func TestOutputExistsError(t *testing.T) {
 func TestPipeline(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "a b a\nc a b\n")
-	count := &Job{
+	count := build(strJob{
 		Name:       "count",
 		InputPaths: []string{"in/f"},
 		OutputPath: "stage1",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
-	}
-	// Second job: swap (word,count) -> (count,word) and count words per frequency.
-	invert := &Job{
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
+	})
+	// Second job: read stage 1's (word, count) records, swap them to
+	// (count, word) and count words per frequency.
+	invert := build(strJob{
 		Name:       "invert",
 		InputPaths: []string{"stage1"},
 		OutputPath: "stage2",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
-				word, cnt, ok := strings.Cut(v, "\t")
-				if !ok {
-					return fmt.Errorf("bad record %q", v)
-				}
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, word, cnt string, emit strEmit) error {
 				emit(cnt, word)
 				return nil
 			})
 		},
-		NewReducer: func() Reducer {
-			return ReduceFunc(func(_ *TaskContext, k string, vs []string, emit Emit) error {
+		Reducer: func() strReducer {
+			return strReduceFunc(func(_ *TaskContext, k string, vs []string, emit strEmit) error {
 				emit(k, strconv.Itoa(len(vs)))
 				return nil
 			})
 		},
-	}
+	})
 	results, err := e.RunPipeline(count, invert)
 	if err != nil {
 		t.Fatal(err)
@@ -598,10 +630,10 @@ func TestPipeline(t *testing.T) {
 func TestPipelineFailsFast(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "x\n")
-	bad := &Job{Name: "bad", InputPaths: []string{"missing"}, OutputPath: "o1",
-		NewMapper: func() Mapper { return wordMapper{} }}
-	never := &Job{Name: "never", InputPaths: []string{"o1"}, OutputPath: "o2",
-		NewMapper: func() Mapper { return wordMapper{} }}
+	bad := build(strJob{Name: "bad", InputPaths: []string{"missing"}, OutputPath: "o1",
+		Mapper: func() strMapper { return wordMapper{} }})
+	never := build(strJob{Name: "never", InputPaths: []string{"o1"}, OutputPath: "o2",
+		Mapper: func() strMapper { return wordMapper{} }})
 	results, err := e.RunPipeline(bad, never)
 	if err == nil || len(results) != 0 {
 		t.Fatalf("results=%d err=%v", len(results), err)
@@ -617,12 +649,12 @@ func TestLocalityScheduling(t *testing.T) {
 		fmt.Fprintf(&sb, "line %d with some padding text\n", i)
 	}
 	writeInput(t, e, "in/f", sb.String())
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "locality",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,41 +680,47 @@ func TestLocalityScheduling(t *testing.T) {
 func TestCustomPartitioner(t *testing.T) {
 	e := newTestEngine(t, 1<<20)
 	writeInput(t, e, "in/f", "a 1\nb 2\na 3\nb 4\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:        "partition",
 		InputPaths:  []string{"in/f"},
 		OutputPath:  "out",
 		NumReducers: 2,
-		Partitioner: func(key string, n int) int {
+		Partition: func(key string, n int) int {
 			if key == "a" {
 				return 0
 			}
 			return 1
 		},
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, emit strEmit) error {
 				k, val, _ := strings.Cut(v, " ")
 				emit(k, val)
 				return nil
 			})
 		},
-		NewReducer: func() Reducer {
-			return ReduceFunc(func(_ *TaskContext, k string, vs []string, emit Emit) error {
+		Reducer: func() strReducer {
+			return strReduceFunc(func(_ *TaskContext, k string, vs []string, emit strEmit) error {
 				emit(k, strings.Join(vs, "+"))
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0, _ := e.FS().ReadAll("out/part-r-00000")
-	p1, _ := e.FS().ReadAll("out/part-r-00001")
-	if !strings.HasPrefix(string(p0), "a\t") {
-		t.Fatalf("part 0 = %q, want key a", p0)
-	}
-	if !strings.HasPrefix(string(p1), "b\t") {
-		t.Fatalf("part 1 = %q, want key b", p1)
+	for i, want := range []string{"a", "b"} {
+		data, err := e.FS().ReadAll(fmt.Sprintf("out/part-r-%05d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		err = recordio.ScanAll(data, func(k, _ string) error {
+			keys = append(keys, k)
+			return nil
+		})
+		if err != nil || len(keys) != 1 || keys[0] != want {
+			t.Fatalf("part %d keys = %q (%v), want [%s]", i, keys, err, want)
+		}
 	}
 }
 
@@ -704,19 +742,19 @@ func TestReduceValuesGrouped(t *testing.T) {
 	writeInput(t, e, "in/f", strings.Repeat("k v\n", 50))
 	calls := map[string]int{}
 	var mu sync.Mutex
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "grouping",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, emit strEmit) error {
 				k, val, _ := strings.Cut(v, " ")
 				emit(k, val)
 				return nil
 			})
 		},
-		NewReducer: func() Reducer {
-			return ReduceFunc(func(_ *TaskContext, k string, vs []string, emit Emit) error {
+		Reducer: func() strReducer {
+			return strReduceFunc(func(_ *TaskContext, k string, vs []string, emit strEmit) error {
 				mu.Lock()
 				calls[k]++
 				mu.Unlock()
@@ -724,7 +762,7 @@ func TestReduceValuesGrouped(t *testing.T) {
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -760,13 +798,13 @@ func TestCountersSnapshotAndString(t *testing.T) {
 func TestEmptyInputFile(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "empty",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,19 +825,19 @@ func TestFileWithoutTrailingNewline(t *testing.T) {
 	writeInput(t, e, "in/f", "aa\nbb\ncc") // no trailing \n
 	var mu sync.Mutex
 	var lines []string
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "notrail",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, _ Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, _ strEmit) error {
 				mu.Lock()
 				lines = append(lines, v)
 				mu.Unlock()
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -813,19 +851,19 @@ func TestCRLFInput(t *testing.T) {
 	writeInput(t, e, "in/f", "aa\r\nbb\r\n")
 	var mu sync.Mutex
 	var lines []string
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "crlf",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, _ Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, _ strEmit) error {
 				mu.Lock()
 				lines = append(lines, v)
 				mu.Unlock()
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -855,13 +893,13 @@ func TestSpeculativeExecutionRescuesStraggler(t *testing.T) {
 	})
 	writeInput(t, e, "in/f", strings.Repeat("hello world\n", 50))
 	start := time.Now()
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "speculate",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -893,12 +931,12 @@ func TestSpeculativeExecutionRescuesStraggler(t *testing.T) {
 func TestSpeculationDisabledByDefault(t *testing.T) {
 	e := newTestEngine(t, 1<<20)
 	writeInput(t, e, "in/f", "a b c\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "nospec",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -923,12 +961,12 @@ func TestSpeculativeWastedCounted(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", "x\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "wasted",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -951,8 +989,8 @@ func TestFailedJobCleansPartialOutputAndRerunSucceeds(t *testing.T) {
 	writeInput(t, e, "in/f", "aaaa bbbb\ncccc dddd\neeee ffff\n")
 	var sabotage sync.Once
 	fs := e.FS()
-	mapper := func() Mapper {
-		return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
+	mapper := func() strMapper {
+		return strMapFunc(func(_ *TaskContext, _, v string, emit strEmit) error {
 			// First run only: plant a file where the engine will write
 			// its second part file, making that commit fail after the
 			// first part file has already been written.
@@ -963,12 +1001,12 @@ func TestFailedJobCleansPartialOutputAndRerunSucceeds(t *testing.T) {
 			return nil
 		})
 	}
-	job := &Job{
+	job := build(strJob{
 		Name:       "partial",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  mapper,
-	}
+		Mapper:     mapper,
+	})
 	if _, err := e.Run(job); err == nil {
 		t.Fatal("first run should fail on the planted part file")
 	}
@@ -1005,14 +1043,14 @@ func TestFailedReduceJobCleansOutputForRerun(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", "a b a\n")
-	job := &Job{
+	job := build(strJob{
 		Name:        "redfail",
 		InputPaths:  []string{"in/f"},
 		OutputPath:  "out",
-		NewMapper:   func() Mapper { return wordMapper{} },
-		NewReducer:  func() Reducer { return sumReducer{} },
+		Mapper:      func() strMapper { return wordMapper{} },
+		Reducer:     func() strReducer { return sumReducer{} },
 		MaxAttempts: 1,
-	}
+	})
 	if _, err := e.Run(job); err == nil {
 		t.Fatal("first run should fail in reduce")
 	}
@@ -1046,12 +1084,12 @@ func TestSecondBackupAfterFailedBackup(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", "x y z\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "rebackup",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1093,12 +1131,12 @@ func TestAttemptRecordsStableAfterRunReturns(t *testing.T) {
 	// split is already read, so the loser touches no shared lock
 	// between the job's return and its own late attempt-record append.
 	var attempts atomic.Int32
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "snapshot",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, emit strEmit) error {
 				if attempts.Add(1) == 1 {
 					time.Sleep(120 * time.Millisecond)
 				}
@@ -1106,7 +1144,7 @@ func TestAttemptRecordsStableAfterRunReturns(t *testing.T) {
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1128,14 +1166,14 @@ func TestAttemptRecordsStableAfterRunReturns(t *testing.T) {
 func TestShuffleCountersAndPartitionDetail(t *testing.T) {
 	e := newTestEngine(t, 32)
 	writeInput(t, e, "in/f", strings.Repeat("alpha beta gamma delta\n", 25))
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:        "shufcount",
 		InputPaths:  []string{"in/f"},
 		OutputPath:  "out",
-		NewMapper:   func() Mapper { return wordMapper{} },
-		NewReducer:  func() Reducer { return sumReducer{} },
+		Mapper:      func() strMapper { return wordMapper{} },
+		Reducer:     func() strReducer { return sumReducer{} },
 		NumReducers: 3,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1161,13 +1199,13 @@ func TestShuffleCountersAndPartitionDetail(t *testing.T) {
 func TestResultReportJSON(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "a b a\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "report",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1198,12 +1236,12 @@ func TestTaskOverheadSlowsJobs(t *testing.T) {
 		if err := fs.Create("in/f", []byte("x\n"), ""); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run(&Job{
+		res, err := e.Run(build(strJob{
 			Name:       "overhead",
 			InputPaths: []string{"in/f"},
 			OutputPath: "out",
-			NewMapper:  func() Mapper { return wordMapper{} },
-		})
+			Mapper:     func() strMapper { return wordMapper{} },
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1221,9 +1259,11 @@ func TestTaskOverheadSlowsJobs(t *testing.T) {
 
 // countingMapper ticks a user counter per word and fails its Cleanup
 // on the first attempt of map-0000, after every tick has landed.
-type countingMapper struct{ MapperBase }
+type countingMapper struct {
+	TypedMapperBase[string, string]
+}
 
-func (countingMapper) Map(ctx *TaskContext, _, value string, emit Emit) error {
+func (countingMapper) Map(ctx *TaskContext, _, value string, emit strEmit) error {
 	for _, w := range strings.Fields(value) {
 		ctx.Counter("user", "words").Inc(1)
 		emit(w, "1")
@@ -1231,7 +1271,7 @@ func (countingMapper) Map(ctx *TaskContext, _, value string, emit Emit) error {
 	return nil
 }
 
-func (countingMapper) Cleanup(ctx *TaskContext, _ Emit) error {
+func (countingMapper) Cleanup(ctx *TaskContext, _ strEmit) error {
 	if ctx.TaskID == "map-0000" && ctx.Attempt == 0 {
 		return fmt.Errorf("injected cleanup failure")
 	}
@@ -1244,13 +1284,13 @@ func (countingMapper) Cleanup(ctx *TaskContext, _ Emit) error {
 func TestUserCountersWinnerOnly(t *testing.T) {
 	e := newTestEngine(t, 1<<20)
 	writeInput(t, e, "in/f", strings.Repeat("w0 w1 w2 w3 w4 w5 w6 w7 w8 w9\n", 3))
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "winner-only",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return countingMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
-	})
+		Mapper:     func() strMapper { return countingMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

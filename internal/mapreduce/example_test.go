@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"log"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/mapreduce"
+	"repro/internal/recordio"
 )
 
 // Example runs the canonical word count on a 4-node simulated cluster:
@@ -31,26 +31,41 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	_, err = engine.Run(&mapreduce.Job{
+	// Text lines in, (word, count) out; every key and value position
+	// has a codec, and the word key's RawString encoding orders the
+	// shuffle.
+	job := &mapreduce.TypedJob[string, string, string, int64, string, int64]{
 		Name:       "wordcount",
 		InputPaths: []string{"in/text"},
 		OutputPath: "out",
-		NewMapper: func() mapreduce.Mapper {
-			return mapreduce.MapFunc(func(_ *mapreduce.TaskContext, _, line string, emit mapreduce.Emit) error {
-				for _, w := range strings.Fields(line) {
-					emit(w, "1")
-				}
-				return nil
-			})
+		Mapper: func() mapreduce.TypedMapper[string, string, string, int64] {
+			return mapreduce.TypedMapFunc[string, string, string, int64](
+				func(_ *mapreduce.TaskContext, _, line string, emit mapreduce.TypedEmit[string, int64]) error {
+					for _, w := range strings.Fields(line) {
+						emit(w, 1)
+					}
+					return nil
+				})
 		},
-		NewReducer: func() mapreduce.Reducer {
-			return mapreduce.ReduceFunc(func(_ *mapreduce.TaskContext, word string, counts []string, emit mapreduce.Emit) error {
-				emit(word, strconv.Itoa(len(counts)))
-				return nil
-			})
+		Reducer: func() mapreduce.TypedReducer[string, int64, string, int64] {
+			return mapreduce.TypedReduceFunc[string, int64, string, int64](
+				func(_ *mapreduce.TaskContext, word string, counts []int64, emit mapreduce.TypedEmit[string, int64]) error {
+					var n int64
+					for _, c := range counts {
+						n += c
+					}
+					emit(word, n)
+					return nil
+				})
 		},
-	})
-	if err != nil {
+		InputKey:    recordio.RawString{},
+		InputValue:  recordio.RawString{},
+		MapKey:      recordio.RawString{},
+		MapValue:    recordio.Int64{},
+		OutputKey:   recordio.RawString{},
+		OutputValue: recordio.Int64{},
+	}
+	if _, err := mapreduce.RunTyped(engine, job); err != nil {
 		log.Fatal(err)
 	}
 
@@ -61,7 +76,11 @@ func Example() {
 	sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
 	for _, kv := range kvs {
 		if kv.Key == "the" || kv.Key == "fox" {
-			fmt.Printf("%s=%s\n", kv.Key, kv.Value)
+			n, err := recordio.Int64{}.Decode(kv.Value)
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("%s=%d\n", kv.Key, n)
 		}
 	}
 	// Output:

@@ -46,10 +46,6 @@ type TaskSpec struct {
 	MapOnly bool
 	// NumReducers is the resolved reducer count (>= 1).
 	NumReducers int
-	// ShuffleBudget is the resolved per-task spill budget in bytes
-	// (Job.MaxShuffleBytes, or the adaptive derivation from
-	// Job.MemoryTargetBytes; 0 keeps the in-memory shuffle).
-	ShuffleBudget int64
 	// Split is the map task's input range.
 	Split InputSplit
 	// Partition is the reduce task's partition number.

@@ -6,11 +6,15 @@
 // groups values by key — the only communication step — and reducers
 // aggregate each group into the final output.
 //
-// Applications supply a Mapper and optionally a Reducer and Combiner
-// (mirroring the three classes a Hadoop developer defines: Mapper,
-// Reducer, Driver — the Driver role is played by a Job description
-// passed to Engine.Run). Jobs can be chained into pipelines, as the
-// DJ-Cluster preprocessing phase does (§VII-A).
+// A job is written as a TypedJob: a TypedMapper and optionally a
+// TypedReducer and combiner, plus a Codec for every key and value
+// position of the dataflow — the three classes a Hadoop developer
+// defines (Mapper, Reducer, Driver), with the TypedJob playing the
+// Driver. TypedJob.Build lowers it onto the engine's Job, whose
+// records are encoded key/value strings; Engine.Run executes it and
+// every part file it writes is a recordio record file. Jobs can be
+// chained into pipelines, as the DJ-Cluster preprocessing phase does
+// (§VII-A).
 package mapreduce
 
 import (
@@ -24,92 +28,46 @@ import (
 	"repro/internal/obs"
 )
 
-// KV is one intermediate or output record. MapReduce represents all
-// data as key-value pairs (§III).
+// KV is one intermediate or output record in its encoded form: the
+// bytes a job's codecs produced. MapReduce represents all data as
+// key-value pairs (§III).
 type KV struct {
 	Key   string
 	Value string
 }
 
-// Emit is the callback mappers, combiners and reducers use to output
-// records (Hadoop's context.write / emitIntermediate).
-type Emit func(key, value string)
+// rawEmit is the engine-side emission callback (Hadoop's
+// context.write): the lowered typed emit encodes through the job's
+// codecs and hands the bytes here.
+type rawEmit func(key, value string)
 
-// Mapper processes one input split record-by-record. A fresh instance
-// is created per map task (via Job.NewMapper), so implementations may
-// keep per-task state across Map calls and flush it in Cleanup — the
-// sampling mapper does exactly that with its current time window.
-type Mapper interface {
-	// Setup runs once before the first record (Hadoop setup()); the
-	// k-means and DJ-Cluster mappers load centroids / the R-tree from
-	// the distributed cache here.
+// rawMapper is the engine's view of a map task: the contract between
+// TypedJob.Build and the task runner. A fresh instance is created per
+// map task, so the typed mapper behind it may keep per-task state
+// across Map calls and flush it in Cleanup.
+type rawMapper interface {
 	Setup(ctx *TaskContext) error
 	// Map processes one record. For line-oriented input the key is
 	// the byte offset of the line within the file and the value is
-	// the line text (Hadoop TextInputFormat).
-	Map(ctx *TaskContext, key, value string, emit Emit) error
-	// Cleanup runs after the last record (Hadoop cleanup()).
-	Cleanup(ctx *TaskContext, emit Emit) error
+	// the line text (Hadoop TextInputFormat); for record files they
+	// are the stored key and value.
+	Map(ctx *TaskContext, key, value string, emit rawEmit) error
+	Cleanup(ctx *TaskContext, emit rawEmit) error
 }
 
-// Reducer aggregates all values sharing a key. A fresh instance is
-// created per reduce task. The same interface serves for combiners,
-// which pre-aggregate map output on the map side to cut shuffle volume
-// (§VI, Related work: the combiner optimisation for k-means).
-type Reducer interface {
+// rawReducer is the engine's view of a reducer or combiner. values is
+// only valid for the duration of the call: the group iterator reuses
+// its backing array for the next key.
+type rawReducer interface {
 	Setup(ctx *TaskContext) error
-	Reduce(ctx *TaskContext, key string, values []string, emit Emit) error
-	Cleanup(ctx *TaskContext, emit Emit) error
+	Reduce(ctx *TaskContext, key string, values []string, emit rawEmit) error
+	Cleanup(ctx *TaskContext, emit rawEmit) error
 }
 
-// MapperBase is a convenience embedding providing no-op Setup/Cleanup.
-type MapperBase struct{}
-
-// Setup implements Mapper.
-func (MapperBase) Setup(*TaskContext) error { return nil }
-
-// Cleanup implements Mapper.
-func (MapperBase) Cleanup(*TaskContext, Emit) error { return nil }
-
-// ReducerBase is a convenience embedding providing no-op Setup/Cleanup.
-type ReducerBase struct{}
-
-// Setup implements Reducer.
-func (ReducerBase) Setup(*TaskContext) error { return nil }
-
-// Cleanup implements Reducer.
-func (ReducerBase) Cleanup(*TaskContext, Emit) error { return nil }
-
-// MapFunc adapts a plain function to the Mapper interface.
-type MapFunc func(ctx *TaskContext, key, value string, emit Emit) error
-
-// Setup implements Mapper.
-func (MapFunc) Setup(*TaskContext) error { return nil }
-
-// Map implements Mapper.
-func (f MapFunc) Map(ctx *TaskContext, key, value string, emit Emit) error {
-	return f(ctx, key, value, emit)
-}
-
-// Cleanup implements Mapper.
-func (MapFunc) Cleanup(*TaskContext, Emit) error { return nil }
-
-// ReduceFunc adapts a plain function to the Reducer interface.
-type ReduceFunc func(ctx *TaskContext, key string, values []string, emit Emit) error
-
-// Setup implements Reducer.
-func (ReduceFunc) Setup(*TaskContext) error { return nil }
-
-// Reduce implements Reducer.
-func (f ReduceFunc) Reduce(ctx *TaskContext, key string, values []string, emit Emit) error {
-	return f(ctx, key, values, emit)
-}
-
-// Cleanup implements Reducer.
-func (ReduceFunc) Cleanup(*TaskContext, Emit) error { return nil }
-
-// Job describes one MapReduce job — the information a Hadoop Driver
-// class supplies to the framework.
+// Job is one lowered MapReduce job — what the engine schedules. It is
+// built by TypedJob.Build (or re-materialised worker-side from a
+// registered kind); its function fields are unexported so no other
+// path can fill them. The data fields stay settable on a built job.
 type Job struct {
 	// Name labels the job in results and task IDs.
 	Name string
@@ -122,29 +80,8 @@ type Job struct {
 	// OutputPath is the DFS directory for part files. It must not
 	// already contain files (Hadoop refuses to overwrite output).
 	OutputPath string
-	// NewMapper creates a Mapper per map task. Required.
-	NewMapper func() Mapper
-	// NewReducer creates a Reducer per reduce task. If nil the job is
-	// map-only (like the sampling jobs, §V) and mappers write their
-	// output directly as part-m files.
-	NewReducer func() Reducer
-	// NewCombiner optionally creates a map-side combiner.
-	NewCombiner func() Reducer
 	// NumReducers is the number of reduce tasks (default 1).
 	NumReducers int
-	// Partitioner routes keys to reducers; defaults to hash
-	// partitioning (Hadoop's HashPartitioner).
-	Partitioner func(key string, numReducers int) int
-	// KeyCompare orders intermediate keys in the spill sort, shuffle
-	// merge and reduce grouping (Hadoop's RawComparator). Nil means
-	// plain byte order — correct for text keys and for the
-	// order-preserving binary key encodings in internal/recordio.
-	KeyCompare func(a, b string) int
-	// BinaryOutput writes part files in the recordio binary record
-	// format instead of "key\tvalue" text lines. Readers sniff the
-	// format per file, so binary and text outputs interoperate in
-	// pipelines. Typed jobs set this by default.
-	BinaryOutput bool
 	// Conf carries job configuration strings read by tasks (Hadoop's
 	// Configuration), e.g. the sampling window size.
 	Conf map[string]string
@@ -161,13 +98,6 @@ type Job struct {
 	// merged partitions in memory. 0 (the default) keeps the
 	// all-in-memory shuffle. Ignored by map-only jobs.
 	MaxShuffleBytes int64
-	// MemoryTargetBytes, when MaxShuffleBytes is 0, derives the
-	// per-task spill budget adaptively: the job-wide memory target is
-	// divided by the cluster's concurrent task slots, so a job states
-	// how much memory the shuffle may use in total and the engine
-	// sizes each task's buffer for the worst case of every slot
-	// spilling at once. MaxShuffleBytes, when set, overrides this.
-	MemoryTargetBytes int64
 	// CompressSpill writes spill run files in the DEFLATE-compressed
 	// recordio block format (version 2) instead of plain record
 	// files. Only consulted when MaxShuffleBytes is set.
@@ -176,6 +106,29 @@ type Job struct {
 	// into a pipeline trace (set by the k-means, DJ-Cluster and R-tree
 	// drivers); it is carried on the job's lifecycle events.
 	Parent string
+
+	jobFuncs
+}
+
+// jobFuncs is a job's code: the part of a Job that cannot cross a
+// process boundary, filled by TypedJob.Build or, worker-side, from a
+// registered JobKind.
+type jobFuncs struct {
+	// newMapper creates a mapper per map task. Required.
+	newMapper func() rawMapper
+	// newReducer creates a reducer per reduce task. If nil the job is
+	// map-only (like the sampling jobs, §V) and mappers write their
+	// output directly as part-m files.
+	newReducer func() rawReducer
+	// newCombiner optionally creates a map-side combiner.
+	newCombiner func() rawReducer
+	// partitioner routes keys to reducers; nil means hash
+	// partitioning (Hadoop's HashPartitioner).
+	partitioner func(key string, numReducers int) int
+	// keyCompare orders intermediate keys in the spill sort, shuffle
+	// merge and reduce grouping (Hadoop's RawComparator): the MapKey
+	// codec's RawCompare. Nil means plain byte order.
+	keyCompare func(a, b string) int
 }
 
 // HashPartition is the default partitioner: FNV-1a hash of the key

@@ -21,12 +21,9 @@ import (
 // A run lives in memory or in a DFS file; one merge iterator handles
 // any mix of the two.
 //
-// Every stage takes an optional key comparator (Job.KeyCompare,
-// Hadoop's RawComparator). A nil comparator means plain byte order on
-// the key strings — the legacy text path, kept branch-cheap so string
-// jobs pay nothing for the hook. Typed jobs with order-preserving key
-// encodings also pass nil (byte order IS their key order); only
-// custom sort orders need a function.
+// Every stage takes an optional key comparator (the job's MapKey
+// RawCompare, Hadoop's RawComparator). A nil comparator means plain
+// byte order on the key strings, kept branch-cheap for MergeRuns.
 
 // sortRun stable-sorts one map-output partition by key, preserving
 // emission order among equal keys (the property the merge's tie-break
@@ -263,13 +260,17 @@ func mergeRuns(runs []run, cmp func(a, b string) int) []KV {
 }
 
 // groupIter turns a merged record stream into (key, values) groups,
-// the unit a Reducer consumes. It buffers only one group at a time.
+// the unit a reducer consumes. It buffers only one group at a time,
+// in one values slice reused across groups: a group's values are
+// valid until the next call to next. The engine's only reducer,
+// loweredReducer, decodes them into its own slice and keeps nothing.
 // Group boundaries fall where the stream's comparator (nil = byte
 // equality) says two adjacent keys differ.
 type groupIter struct {
-	it  *mergeIter
-	cur KV
-	ok  bool
+	it     *mergeIter
+	cur    KV
+	ok     bool
+	values []string
 }
 
 func newGroupIter(it *mergeIter) *groupIter {
@@ -285,10 +286,14 @@ func (g *groupIter) next() (key string, values []string, ok bool) {
 		return "", nil, false
 	}
 	key = g.cur.Key
-	values = append(values, g.cur.Value)
+	// Clear the previous group's strings so the reused array pins no
+	// record past its group.
+	clear(g.values)
+	values = append(g.values[:0], g.cur.Value)
 	for {
 		g.cur, g.ok = g.it.next()
 		if !g.ok || g.keyChanged(key) {
+			g.values = values
 			return key, values, true
 		}
 		values = append(values, g.cur.Value)

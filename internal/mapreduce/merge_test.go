@@ -59,11 +59,38 @@ func TestGroupIterGroupsSortedStream(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, group{k, vs})
+		// values is only valid until the next call: keep a copy.
+		got = append(got, group{k, append([]string(nil), vs...)})
 	}
 	want := []group{{"a", []string{"1", "2"}}, {"b", []string{"3"}}, {"c", []string{"4", "5", "6"}}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("groups = %v, want %v", got, want)
+	}
+}
+
+// TestGroupIterReusesValues pins that grouping a many-group stream
+// reuses one values slice instead of allocating one per group.
+func TestGroupIterReusesValues(t *testing.T) {
+	const groups = 1000
+	in := make([]KV, 0, 3*groups)
+	for k := 0; k < groups; k++ {
+		for v := 0; v < 3; v++ {
+			in = append(in, KV{Key: fmt.Sprintf("k%04d", k), Value: "v"})
+		}
+	}
+	var seen int
+	allocs := testing.AllocsPerRun(5, func() {
+		seen = 0
+		g := newGroupIter(newMergeIter(nil, []run{{mem: in}}, nil))
+		for _, vs, ok := g.next(); ok; _, vs, ok = g.next() {
+			seen += len(vs)
+		}
+	})
+	if seen != len(in) {
+		t.Fatalf("grouped %d values, want %d", seen, len(in))
+	}
+	if allocs > groups/100 {
+		t.Fatalf("%.0f allocations for %d groups: the values slice is not reused", allocs, groups)
 	}
 }
 

@@ -58,11 +58,11 @@ type mapSpiller struct {
 }
 
 func newMapSpiller(fs dfs.Store, ctx *TaskContext, spec TaskSpec, forceSpill bool) *mapSpiller {
-	partition := spec.Job.Partitioner
+	partition := spec.Job.partitioner
 	if partition == nil {
 		partition = HashPartition
 	}
-	nParts, budget := spec.NumReducers, spec.ShuffleBudget
+	nParts, budget := spec.NumReducers, spec.Job.MaxShuffleBytes
 	if spec.MapOnly {
 		nParts = 1
 		budget = 0 // map-only output goes straight to the task's output file
@@ -88,8 +88,8 @@ func (sp *mapSpiller) stats(inputRecords int64) TaskStats {
 	}
 }
 
-// emit is the Emit the mapper sees. The Emit signature has no error
-// channel, so a spill failure is latched and re-raised by finish.
+// emit is the rawEmit the mapper sees. It has no error channel, so a
+// spill failure is latched and re-raised by finish.
 func (sp *mapSpiller) emit(k, v string) {
 	if sp.err != nil {
 		return
@@ -113,17 +113,17 @@ func (sp *mapSpiller) emit(k, v string) {
 // of the combined output (a combiner Cleanup may emit out of order) —
 // the exact sequence the in-memory commit path has always run.
 func (sp *mapSpiller) sortCombine(kvs []KV) ([]KV, error) {
-	sortRun(kvs, sp.job.KeyCompare)
-	if sp.job.NewCombiner == nil {
+	sortRun(kvs, sp.job.keyCompare)
+	if sp.job.newCombiner == nil {
 		return kvs, nil
 	}
-	combined, err := runReduce(sp.ctx, sp.job.NewCombiner(), newMergeIter(nil, []run{{mem: kvs}}, sp.job.KeyCompare), nil)
+	combined, err := runReduce(sp.ctx, sp.job.newCombiner(), newMergeIter(nil, []run{{mem: kvs}}, sp.job.keyCompare), nil)
 	if err != nil {
 		return nil, fmt.Errorf("combiner: %v", err)
 	}
 	sp.combineIn += int64(len(kvs))
 	sp.combineOut += int64(len(combined))
-	sortRun(combined, sp.job.KeyCompare)
+	sortRun(combined, sp.job.keyCompare)
 	return combined, nil
 }
 

@@ -10,14 +10,17 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/recordio"
 )
 
 // joinReducer emits each key with its comma-joined value stream, so a
 // job's output captures the full grouped kv stream the shuffle fed the
 // reducer — grouping, key order and within-group value order included.
-type joinReducer struct{ ReducerBase }
+type joinReducer struct {
+	TypedReducerBase[string, string]
+}
 
-func (joinReducer) Reduce(_ *TaskContext, key string, values []string, emit Emit) error {
+func (joinReducer) Reduce(_ *TaskContext, key string, values []string, emit strEmit) error {
 	emit(key, strings.Join(values, ","))
 	return nil
 }
@@ -38,26 +41,26 @@ func runShuffledWordCount(seed int64, text string, reducers int, budget int64, c
 	if err := fs.Create("in/f", []byte(text), ""); err != nil {
 		return nil, nil, err
 	}
-	job := &Job{
+	tj := strJob{
 		Name:            "ext-shuffle",
 		InputPaths:      []string{"in/f"},
 		OutputPath:      "out",
-		NewMapper:       func() Mapper { return wordMapper{} },
-		NewReducer:      func() Reducer { return sumReducer{} },
+		Mapper:          func() strMapper { return wordMapper{} },
+		Reducer:         func() strReducer { return sumReducer{} },
 		NumReducers:     reducers,
 		MaxShuffleBytes: budget,
 		CompressSpill:   compress,
 	}
 	if joined {
-		job.NewReducer = func() Reducer { return joinReducer{} }
+		tj.Reducer = func() strReducer { return joinReducer{} }
 	}
 	if combiner {
-		job.NewCombiner = func() Reducer { return sumReducer{} }
+		tj.Combiner = func() strReducer { return sumReducer{} }
 	}
 	if reverse {
-		job.KeyCompare = func(a, b string) int { return -strings.Compare(a, b) }
+		tj.MapKey = reversed[string]{recordio.RawString{}}
 	}
-	res, err := e.Run(job)
+	res, err := e.Run(build(tj))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -123,17 +126,17 @@ func TestExternalShuffleSpillsAndCleansUp(t *testing.T) {
 	fs, _ := dfs.New(c, dfs.Config{ChunkSize: 256, Replication: 3, Seed: 7})
 	e := NewEngine(c, fs, Options{})
 	writeInput(t, e, "in/f", strings.Repeat("alpha beta gamma delta\n", 200))
-	job := &Job{
+	job := build(strJob{
 		Name:            "spilly",
 		InputPaths:      []string{"in/f"},
 		OutputPath:      "out",
-		NewMapper:       func() Mapper { return wordMapper{} },
-		NewReducer:      func() Reducer { return sumReducer{} },
-		NewCombiner:     func() Reducer { return sumReducer{} },
+		Mapper:          func() strMapper { return wordMapper{} },
+		Reducer:         func() strReducer { return sumReducer{} },
+		Combiner:        func() strReducer { return sumReducer{} },
 		NumReducers:     3,
 		MaxShuffleBytes: 64,
 		CompressSpill:   true,
-	}
+	})
 	res, err := e.Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -182,15 +185,15 @@ func TestExternalShuffleUnderSpeculation(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", strings.Repeat("hello world again\n", 60))
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:            "speculative-spill",
 		InputPaths:      []string{"in/f"},
 		OutputPath:      "out",
-		NewMapper:       func() Mapper { return wordMapper{} },
-		NewReducer:      func() Reducer { return sumReducer{} },
+		Mapper:          func() strMapper { return wordMapper{} },
+		Reducer:         func() strReducer { return sumReducer{} },
 		NumReducers:     2,
 		MaxShuffleBytes: 48,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +220,13 @@ func TestExternalShuffleUnderSpeculation(t *testing.T) {
 func TestMapOnlyJobIgnoresShuffleBudget(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", strings.Repeat("a b c\n", 50))
-	job := &Job{
+	job := build(strJob{
 		Name:            "maponly-budget",
 		InputPaths:      []string{"in/f"},
 		OutputPath:      "out",
-		NewMapper:       func() Mapper { return wordMapper{} },
+		Mapper:          func() strMapper { return wordMapper{} },
 		MaxShuffleBytes: 16,
-	}
+	})
 	res, err := e.Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +250,8 @@ func TestSpillRunTruncationIsAnError(t *testing.T) {
 	c, _ := cluster.NewUniform(4, 2, 2)
 	fs, _ := dfs.New(c, dfs.Config{ChunkSize: 1 << 20, Replication: 3, Seed: 3})
 	e := NewEngine(c, fs, Options{})
-	job := &Job{Name: "trunc", MaxShuffleBytes: 1}
-	spec := TaskSpec{Job: job, TaskID: "m0", NumReducers: 1, ShuffleBudget: job.MaxShuffleBytes}
+	job := build(strJob{Name: "trunc", MaxShuffleBytes: 1})
+	spec := TaskSpec{Job: job, TaskID: "m0", NumReducers: 1}
 	sp := newMapSpiller(e.fs, &TaskContext{}, spec, false)
 	for i := 0; i < 50; i++ {
 		sp.emit(fmt.Sprintf("key-%02d", i), "value-payload")

@@ -82,7 +82,7 @@ func executeMap(store dfs.Store, ctx *TaskContext, spec TaskSpec, forceSpill boo
 	// reducers never re-sort); with a budget it additionally writes
 	// sorted+combined run files to DFS whenever the buffer trips it.
 	sp := newMapSpiller(store, ctx, spec, forceSpill)
-	m := spec.Job.NewMapper()
+	m := spec.Job.newMapper()
 	if err := m.Setup(ctx); err != nil {
 		return TaskResult{}, fmt.Errorf("%s setup: %v", spec.TaskID, err)
 	}
@@ -120,8 +120,8 @@ func executeReduce(store dfs.Store, ctx *TaskContext, spec TaskSpec, runs []run)
 		inRecords += r.records()
 	}
 	var groups int64
-	it := newMergeIter(store, runs, spec.Job.KeyCompare)
-	out, err := runReduce(ctx, spec.Job.NewReducer(), it, &groups)
+	it := newMergeIter(store, runs, spec.Job.keyCompare)
+	out, err := runReduce(ctx, spec.Job.newReducer(), it, &groups)
 	if err != nil {
 		return TaskResult{}, fmt.Errorf("%s: %v", spec.TaskID, err)
 	}
@@ -144,7 +144,7 @@ func executeReduce(store dfs.Store, ctx *TaskContext, spec TaskSpec, runs []run)
 // attempt-unique temp file, in the part-file format.
 func writeTaskOutput(store dfs.Store, spec TaskSpec, kvs []KV) (string, error) {
 	tmp := taskTempPath(spec.Job.Name, spec.TaskID, spec.Attempt)
-	if err := store.Create(tmp, encodePartFile(kvs, spec.Job.BinaryOutput), spec.Node); err != nil {
+	if err := store.Create(tmp, encodePartFile(kvs), spec.Node); err != nil {
 		return "", fmt.Errorf("%s: %v", spec.TaskID, err)
 	}
 	return tmp, nil
@@ -157,7 +157,7 @@ func writeTaskOutput(store dfs.Store, spec TaskSpec, kvs []KV) (string, error) {
 // stream cut short by a run read error fails the call before the
 // reducer's Cleanup runs. Counters are the caller's responsibility
 // (only winning attempts commit them).
-func runReduce(ctx *TaskContext, red Reducer, it *mergeIter, groupCount *int64) ([]KV, error) {
+func runReduce(ctx *TaskContext, red rawReducer, it *mergeIter, groupCount *int64) ([]KV, error) {
 	var out []KV
 	emit := func(k, v string) { out = append(out, KV{k, v}) }
 	if err := red.Setup(ctx); err != nil {

@@ -2,30 +2,38 @@ package mapreduce
 
 import "fmt"
 
-// This file is the generics-typed job API over the untyped engine.
-// A TypedJob carries codecs for every position in the dataflow
-// (input, intermediate, output) and lowers itself onto a plain *Job:
-// the lowered mapper decodes each input record, runs the typed user
-// code, and encodes emissions through reusable scratch buffers; the
-// lowered reducer decodes a group's key and values back into typed
-// form. Keys travel as order-preserving encodings, so the engine's
-// spill sort and shuffle merge compare raw bytes and never decode —
-// the Writable/RawComparator division of labour from Hadoop.
+// This file is the job API. A TypedJob carries codecs for every
+// position in the dataflow (input, intermediate, output) and lowers
+// itself onto the engine's *Job: the lowered mapper decodes each input
+// record, runs the typed user code, and encodes emissions through
+// reusable scratch buffers; the lowered reducer decodes a group's key
+// and values back into typed form. Keys travel as order-preserving
+// encodings, so the engine's spill sort and shuffle merge compare raw
+// bytes and never decode — the Writable/RawComparator division of
+// labour from Hadoop.
 
-// TypedEmit is the typed counterpart of Emit.
+// TypedEmit is the callback mappers, combiners and reducers output
+// records through (Hadoop's context.write).
 type TypedEmit[K, V any] func(key K, value V)
 
-// TypedMapper is the typed counterpart of Mapper. A fresh instance is
-// created per map task, so implementations may accumulate per-task
-// state and flush it in Cleanup.
+// TypedMapper processes one input split record by record. A fresh
+// instance is created per map task, so implementations may accumulate
+// per-task state and flush it in Cleanup — the sampling mapper does
+// exactly that with its current time window. Setup runs before the
+// first record (the k-means and DJ-Cluster mappers load centroids or
+// the R-tree from the distributed cache there), Cleanup after the
+// last.
 type TypedMapper[KI, VI, KO, VO any] interface {
 	Setup(ctx *TaskContext) error
 	Map(ctx *TaskContext, key KI, value VI, emit TypedEmit[KO, VO]) error
 	Cleanup(ctx *TaskContext, emit TypedEmit[KO, VO]) error
 }
 
-// TypedReducer is the typed counterpart of Reducer; it also serves
-// for combiners (with KO = K and VO = V).
+// TypedReducer aggregates all values sharing a key. A fresh instance
+// is created per reduce task. It also serves for combiners (with
+// KO = K and VO = V), which pre-aggregate map output on the map side
+// to cut shuffle volume (§VI). values is only valid during the call:
+// the engine reuses its backing array for the next group.
 type TypedReducer[K, V, KO, VO any] interface {
 	Setup(ctx *TaskContext) error
 	Reduce(ctx *TaskContext, key K, values []V, emit TypedEmit[KO, VO]) error
@@ -86,7 +94,7 @@ func (TypedReduceFunc[K, V, KO, VO]) Cleanup(*TaskContext, TypedEmit[KO, VO]) er
 type TypedJob[KI, VI, KM, VM, KO, VO any] struct {
 	Name string
 	// Kind names the job's registered kind for remote execution; see
-	// Job.Kind.
+	// Job.Kind and RegisterKind.
 	Kind       string
 	InputPaths []string
 	OutputPath string
@@ -105,9 +113,10 @@ type TypedJob[KI, VI, KM, VM, KO, VO any] struct {
 	// binary record files they are the stored key and value bytes.
 	InputKey   Codec[KI]
 	InputValue Codec[VI]
-	// MapKey/MapValue code the intermediate records. MapKey should
-	// be order-preserving; if it implements RawComparer its comparison
-	// becomes the job's KeyCompare.
+	// MapKey/MapValue code the intermediate records. A job with a
+	// reducer or combiner needs an order-preserving MapKey that
+	// implements RawComparer: its comparison orders the spill sort,
+	// shuffle merge and reduce grouping.
 	MapKey   Codec[KM]
 	MapValue Codec[VM]
 	// OutputKey/OutputValue code the reducer's emissions (unused for
@@ -119,50 +128,40 @@ type TypedJob[KI, VI, KM, VM, KO, VO any] struct {
 	// Partition routes a decoded intermediate key to a reducer;
 	// defaults to hashing the encoded key bytes.
 	Partition func(key KM, numReducers int) int
-	// KeyCompare overrides the intermediate key order; defaults to
-	// MapKey's RawCompare when implemented, else plain byte order.
-	KeyCompare func(a, b string) int
-	// TextOutput writes classic "key\tvalue" part files instead of
-	// binary record files — for outputs meant to be read as text.
-	TextOutput bool
 
 	Conf        map[string]string
 	Cache       map[string][]byte
 	MaxAttempts int
 	Parent      string
-	// MaxShuffleBytes, MemoryTargetBytes and CompressSpill configure
-	// the memory-bounded external shuffle; see the Job fields of the
-	// same names.
-	MaxShuffleBytes   int64
-	MemoryTargetBytes int64
-	CompressSpill     bool
+	// MaxShuffleBytes and CompressSpill configure the memory-bounded
+	// external shuffle; see the Job fields of the same names.
+	MaxShuffleBytes int64
+	CompressSpill   bool
 }
 
-// Build lowers the typed job onto the untyped engine Job.
+// Build lowers the typed job onto the engine's Job. Part files are
+// always recordio record files.
 func (tj *TypedJob[KI, VI, KM, VM, KO, VO]) Build() *Job {
 	job := &Job{
-		Name:              tj.Name,
-		Kind:              tj.Kind,
-		InputPaths:        tj.InputPaths,
-		OutputPath:        tj.OutputPath,
-		NumReducers:       tj.NumReducers,
-		Conf:              tj.Conf,
-		Cache:             tj.Cache,
-		MaxAttempts:       tj.MaxAttempts,
-		Parent:            tj.Parent,
-		KeyCompare:        tj.KeyCompare,
-		BinaryOutput:      !tj.TextOutput,
-		MaxShuffleBytes:   tj.MaxShuffleBytes,
-		MemoryTargetBytes: tj.MemoryTargetBytes,
-		CompressSpill:     tj.CompressSpill,
+		Name:            tj.Name,
+		Kind:            tj.Kind,
+		InputPaths:      tj.InputPaths,
+		OutputPath:      tj.OutputPath,
+		NumReducers:     tj.NumReducers,
+		Conf:            tj.Conf,
+		Cache:           tj.Cache,
+		MaxAttempts:     tj.MaxAttempts,
+		Parent:          tj.Parent,
+		MaxShuffleBytes: tj.MaxShuffleBytes,
+		CompressSpill:   tj.CompressSpill,
 	}
 	if tj.Mapper != nil {
-		job.NewMapper = func() Mapper {
+		job.newMapper = func() rawMapper {
 			return &loweredMapper[KI, VI, KM, VM, KO, VO]{tj: tj, m: tj.Mapper()}
 		}
 	}
 	if tj.Reducer != nil {
-		job.NewReducer = func() Reducer {
+		job.newReducer = func() rawReducer {
 			return &loweredReducer[KM, VM, KO, VO]{
 				r: tj.Reducer(), key: tj.MapKey, val: tj.MapValue,
 				outKey: tj.OutputKey, outVal: tj.OutputValue,
@@ -170,7 +169,7 @@ func (tj *TypedJob[KI, VI, KM, VM, KO, VO]) Build() *Job {
 		}
 	}
 	if tj.Combiner != nil {
-		job.NewCombiner = func() Reducer {
+		job.newCombiner = func() rawReducer {
 			return &loweredReducer[KM, VM, KM, VM]{
 				r: tj.Combiner(), key: tj.MapKey, val: tj.MapValue,
 				outKey: tj.MapKey, outVal: tj.MapValue,
@@ -178,7 +177,7 @@ func (tj *TypedJob[KI, VI, KM, VM, KO, VO]) Build() *Job {
 		}
 	}
 	if tj.Partition != nil {
-		job.Partitioner = func(key string, numReducers int) int {
+		job.partitioner = func(key string, numReducers int) int {
 			k, err := tj.MapKey.Decode(key)
 			if err != nil {
 				// An undecodable key fails the task later anyway; route it
@@ -188,24 +187,22 @@ func (tj *TypedJob[KI, VI, KM, VM, KO, VO]) Build() *Job {
 			return tj.Partition(k, numReducers)
 		}
 	}
-	if job.KeyCompare == nil {
-		if rc, ok := tj.MapKey.(RawComparer); ok {
-			job.KeyCompare = rc.RawCompare
-		}
+	if rc, ok := tj.MapKey.(RawComparer); ok {
+		job.keyCompare = rc.RawCompare
 	}
 	return job
 }
 
-// typedEmit wraps an untyped emit with codec encoding through shared
-// scratch buffers. The engine hands every mapper (and reducer) method
-// of one task attempt the same emit closure, so caching one wrapper
-// per lowered instance is sound.
+// typedEmit wraps the engine's raw emit with codec encoding through
+// shared scratch buffers. The engine hands every mapper (and reducer)
+// method of one task attempt the same emit closure, so caching one
+// wrapper per lowered instance is sound.
 type typedEmit[K, V any] struct {
-	raw  Emit
+	raw  rawEmit
 	emit TypedEmit[K, V]
 }
 
-func (te *typedEmit[K, V]) get(raw Emit, key Codec[K], val Codec[V]) TypedEmit[K, V] {
+func (te *typedEmit[K, V]) get(raw rawEmit, key Codec[K], val Codec[V]) TypedEmit[K, V] {
 	if te.emit == nil {
 		var kbuf, vbuf []byte
 		te.raw = raw
@@ -221,7 +218,7 @@ func (te *typedEmit[K, V]) get(raw Emit, key Codec[K], val Codec[V]) TypedEmit[K
 	return te.emit
 }
 
-// loweredMapper adapts a TypedMapper to the untyped Mapper interface.
+// loweredMapper adapts a TypedMapper to the engine's rawMapper.
 type loweredMapper[KI, VI, KM, VM, KO, VO any] struct {
 	tj *TypedJob[KI, VI, KM, VM, KO, VO]
 	m  TypedMapper[KI, VI, KM, VM]
@@ -232,7 +229,7 @@ func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Setup(ctx *TaskContext) error {
 	return lm.m.Setup(ctx)
 }
 
-func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Map(ctx *TaskContext, key, value string, emit Emit) error {
+func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Map(ctx *TaskContext, key, value string, emit rawEmit) error {
 	k, err := lm.tj.InputKey.Decode(key)
 	if err != nil {
 		return fmt.Errorf("decode input key: %v", err)
@@ -244,12 +241,13 @@ func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Map(ctx *TaskContext, key, valu
 	return lm.m.Map(ctx, k, v, lm.te.get(emit, lm.tj.MapKey, lm.tj.MapValue))
 }
 
-func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Cleanup(ctx *TaskContext, emit Emit) error {
+func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Cleanup(ctx *TaskContext, emit rawEmit) error {
 	return lm.m.Cleanup(ctx, lm.te.get(emit, lm.tj.MapKey, lm.tj.MapValue))
 }
 
-// loweredReducer adapts a TypedReducer to the untyped Reducer
-// interface (for reducers and, with K/V output codecs, combiners).
+// loweredReducer adapts a TypedReducer to the engine's rawReducer
+// (for reducers and, with K/V output codecs, combiners). It decodes
+// into its own vals and never keeps the values slice it is handed.
 type loweredReducer[K, V, KO, VO any] struct {
 	r      TypedReducer[K, V, KO, VO]
 	key    Codec[K]
@@ -264,7 +262,7 @@ func (lr *loweredReducer[K, V, KO, VO]) Setup(ctx *TaskContext) error {
 	return lr.r.Setup(ctx)
 }
 
-func (lr *loweredReducer[K, V, KO, VO]) Reduce(ctx *TaskContext, key string, values []string, emit Emit) error {
+func (lr *loweredReducer[K, V, KO, VO]) Reduce(ctx *TaskContext, key string, values []string, emit rawEmit) error {
 	k, err := lr.key.Decode(key)
 	if err != nil {
 		return fmt.Errorf("decode key: %v", err)
@@ -280,7 +278,7 @@ func (lr *loweredReducer[K, V, KO, VO]) Reduce(ctx *TaskContext, key string, val
 	return lr.r.Reduce(ctx, k, lr.vals, lr.te.get(emit, lr.outKey, lr.outVal))
 }
 
-func (lr *loweredReducer[K, V, KO, VO]) Cleanup(ctx *TaskContext, emit Emit) error {
+func (lr *loweredReducer[K, V, KO, VO]) Cleanup(ctx *TaskContext, emit rawEmit) error {
 	return lr.r.Cleanup(ctx, lr.te.get(emit, lr.outKey, lr.outVal))
 }
 

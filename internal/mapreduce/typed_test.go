@@ -254,11 +254,12 @@ func TestTypedJobInt64KeyOrder(t *testing.T) {
 	}
 }
 
-// TestTypedJobCustomKeyCompare flips the sort order via KeyCompare.
+// TestTypedJobCustomKeyCompare flips the sort order through a MapKey
+// codec whose RawCompare is descending.
 func TestTypedJobCustomKeyCompare(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "ignored\n")
-	cdc := recordio.Int64{}
+	cdc := reversed[int64]{recordio.Int64{}}
 	tj := &TypedJob[string, string, int64, int64, int64, int64]{
 		Name:       "typed-desc",
 		InputPaths: []string{"in/f"},
@@ -286,7 +287,6 @@ func TestTypedJobCustomKeyCompare(t *testing.T) {
 		OutputKey:   recordio.Int64{},
 		OutputValue: recordio.Int64{},
 		NumReducers: 1,
-		KeyCompare:  func(a, b string) int { return cdc.RawCompare(b, a) }, // descending
 	}
 	if _, err := e.Run(tj.Build()); err != nil {
 		t.Fatal(err)
@@ -309,49 +309,42 @@ func TestTypedJobCustomKeyCompare(t *testing.T) {
 }
 
 // TestTypedMapOnlyJob checks that a map-only typed job writes binary
-// part-m files whose records decode back through the codecs, and that
-// TextOutput opts back into text part files.
+// part-m files whose records decode back through the codecs.
 func TestTypedMapOnlyJob(t *testing.T) {
-	for _, text := range []bool{false, true} {
-		e := newTestEngine(t, 64)
-		writeInput(t, e, "in/f", "one two three\n")
-		tj := &TypedJob[string, string, string, int64, string, int64]{
-			Name:       "typed-maponly",
-			InputPaths: []string{"in/f"},
-			OutputPath: "out",
-			Mapper: func() TypedMapper[string, string, string, int64] {
-				return TypedMapFunc[string, string, string, int64](
-					func(_ *TaskContext, _, line string, emit TypedEmit[string, int64]) error {
-						for i, w := range strings.Fields(line) {
-							emit(w, int64(i))
-						}
-						return nil
-					})
-			},
-			InputKey:   recordio.RawString{},
-			InputValue: recordio.RawString{},
-			MapKey:     recordio.RawString{},
-			MapValue:   recordio.Int64{},
-			TextOutput: text,
-		}
-		res, err := e.Run(tj.Build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := e.FS().ReadAll(res.OutputFiles[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if recordio.IsRecordData(data) == text {
-			t.Fatalf("TextOutput=%v produced wrong format", text)
-		}
-		if text {
-			continue // binary decode check below is for the binary flavour
-		}
-		got := readTypedCounts(t, e, "out")
-		if got["one"] != 0 || got["two"] != 1 || got["three"] != 2 {
-			t.Fatalf("wrong map-only output: %v", got)
-		}
+	e := newTestEngine(t, 64)
+	writeInput(t, e, "in/f", "one two three\n")
+	tj := &TypedJob[string, string, string, int64, string, int64]{
+		Name:       "typed-maponly",
+		InputPaths: []string{"in/f"},
+		OutputPath: "out",
+		Mapper: func() TypedMapper[string, string, string, int64] {
+			return TypedMapFunc[string, string, string, int64](
+				func(_ *TaskContext, _, line string, emit TypedEmit[string, int64]) error {
+					for i, w := range strings.Fields(line) {
+						emit(w, int64(i))
+					}
+					return nil
+				})
+		},
+		InputKey:   recordio.RawString{},
+		InputValue: recordio.RawString{},
+		MapKey:     recordio.RawString{},
+		MapValue:   recordio.Int64{},
+	}
+	res, err := e.Run(tj.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := e.FS().ReadAll(res.OutputFiles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recordio.IsRecordData(data) {
+		t.Fatal("map-only job wrote a non-binary part file")
+	}
+	got := readTypedCounts(t, e, "out")
+	if got["one"] != 0 || got["two"] != 1 || got["three"] != 2 {
+		t.Fatalf("wrong map-only output: %v", got)
 	}
 }
 

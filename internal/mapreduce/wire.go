@@ -15,13 +15,10 @@ import (
 )
 
 // JobKind is the functional surface of a job family: everything a
-// worker needs beyond the per-job data in JobWire.
+// worker needs beyond the per-job data in JobWire. KindOf extracts one
+// from a built job.
 type JobKind struct {
-	NewMapper   func() Mapper
-	NewReducer  func() Reducer
-	NewCombiner func() Reducer
-	Partitioner func(key string, numReducers int) int
-	KeyCompare  func(a, b string) int
+	funcs jobFuncs
 }
 
 var (
@@ -38,8 +35,8 @@ func RegisterKind(name string, k JobKind) {
 	if name == "" {
 		panic("mapreduce: RegisterKind with empty name")
 	}
-	if k.NewMapper == nil {
-		panic(fmt.Sprintf("mapreduce: RegisterKind %q without NewMapper", name))
+	if k.funcs.newMapper == nil {
+		panic(fmt.Sprintf("mapreduce: RegisterKind %q without a mapper", name))
 	}
 	kindMu.Lock()
 	defer kindMu.Unlock()
@@ -49,8 +46,8 @@ func RegisterKind(name string, k JobKind) {
 	kinds[name] = k
 }
 
-// LookupKind returns the registered kind for name.
-func LookupKind(name string) (JobKind, bool) {
+// lookupKind returns the registered kind for name.
+func lookupKind(name string) (JobKind, bool) {
 	kindMu.RLock()
 	defer kindMu.RUnlock()
 	k, ok := kinds[name]
@@ -62,31 +59,24 @@ func LookupKind(name string) (JobKind, bool) {
 //
 //	mapreduce.RegisterKind("myjob", mapreduce.KindOf(template.Build()))
 func KindOf(job *Job) JobKind {
-	return JobKind{
-		NewMapper:   job.NewMapper,
-		NewReducer:  job.NewReducer,
-		NewCombiner: job.NewCombiner,
-		Partitioner: job.Partitioner,
-		KeyCompare:  job.KeyCompare,
-	}
+	return JobKind{funcs: job.jobFuncs}
 }
 
 // JobWire is the process-crossing form of a Job: its plain data plus
 // the kind name standing in for the function fields. All fields gob-
 // encode.
 type JobWire struct {
-	Name         string
-	Kind         string
-	NumReducers  int
-	BinaryOutput bool
+	Name        string
+	Kind        string
+	NumReducers int
 	// HasCombiner records whether the driver's job enabled the kind's
 	// combiner (a kind may register one that individual jobs turn off,
 	// as k-means does behind KMeansOptions.UseCombiner).
 	HasCombiner bool
 	Conf        map[string]string
 	Cache       map[string][]byte
-	// ShuffleBudget is the driver-resolved per-task spill budget
-	// (adaptive derivation included), so workers never re-derive it.
+	// ShuffleBudget is the job's per-task spill budget
+	// (Job.MaxShuffleBytes).
 	ShuffleBudget int64
 	CompressSpill bool
 }
@@ -94,29 +84,28 @@ type JobWire struct {
 // Wire converts the job for shipping to a worker. It fails when the
 // job has no kind, or the kind is not registered in this binary —
 // catching a typo driver-side beats a per-task failure worker-side.
-func (j *Job) Wire(shuffleBudget int64) (JobWire, error) {
+func (j *Job) Wire() (JobWire, error) {
 	if j.Kind == "" {
 		return JobWire{}, fmt.Errorf("mapreduce: job %s has no Kind; remote execution needs a registered kind", j.Name)
 	}
-	if _, ok := LookupKind(j.Kind); !ok {
+	if _, ok := lookupKind(j.Kind); !ok {
 		return JobWire{}, fmt.Errorf("mapreduce: job %s: kind %q is not registered", j.Name, j.Kind)
 	}
 	return JobWire{
 		Name:          j.Name,
 		Kind:          j.Kind,
 		NumReducers:   j.NumReducers,
-		BinaryOutput:  j.BinaryOutput,
-		HasCombiner:   j.NewCombiner != nil,
+		HasCombiner:   j.newCombiner != nil,
 		Conf:          j.Conf,
 		Cache:         j.Cache,
-		ShuffleBudget: shuffleBudget,
+		ShuffleBudget: j.MaxShuffleBytes,
 		CompressSpill: j.CompressSpill,
 	}, nil
 }
 
 // Materialize rebuilds a runnable Job worker-side from the registry.
 func (w JobWire) Materialize() (*Job, error) {
-	k, ok := LookupKind(w.Kind)
+	k, ok := lookupKind(w.Kind)
 	if !ok {
 		return nil, fmt.Errorf("mapreduce: job kind %q is not registered in this binary", w.Kind)
 	}
@@ -124,21 +113,16 @@ func (w JobWire) Materialize() (*Job, error) {
 		Name:            w.Name,
 		Kind:            w.Kind,
 		NumReducers:     w.NumReducers,
-		BinaryOutput:    w.BinaryOutput,
 		Conf:            w.Conf,
 		Cache:           w.Cache,
 		MaxShuffleBytes: w.ShuffleBudget,
 		CompressSpill:   w.CompressSpill,
-		NewMapper:       k.NewMapper,
-		NewReducer:      k.NewReducer,
-		Partitioner:     k.Partitioner,
-		KeyCompare:      k.KeyCompare,
+		jobFuncs:        k.funcs,
 	}
-	if w.HasCombiner {
-		if k.NewCombiner == nil {
-			return nil, fmt.Errorf("mapreduce: job %s uses a combiner but kind %q registered none", w.Name, w.Kind)
-		}
-		job.NewCombiner = k.NewCombiner
+	if !w.HasCombiner {
+		job.newCombiner = nil
+	} else if job.newCombiner == nil {
+		return nil, fmt.Errorf("mapreduce: job %s uses a combiner but kind %q registered none", w.Name, w.Kind)
 	}
 	return job, nil
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 
@@ -9,29 +8,30 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
+	"repro/internal/recordio"
 )
 
-type wordMapper struct{ mapreduce.MapperBase }
+type wordMapper struct {
+	mapreduce.TypedMapperBase[string, int64]
+}
 
-func (wordMapper) Map(_ *mapreduce.TaskContext, _, value string, emit mapreduce.Emit) error {
+func (wordMapper) Map(_ *mapreduce.TaskContext, _, value string, emit mapreduce.TypedEmit[string, int64]) error {
 	for _, w := range strings.Fields(value) {
-		emit(w, "1")
+		emit(w, 1)
 	}
 	return nil
 }
 
-type sumReducer struct{ mapreduce.ReducerBase }
+type sumReducer struct {
+	mapreduce.TypedReducerBase[string, int64]
+}
 
-func (sumReducer) Reduce(_ *mapreduce.TaskContext, key string, values []string, emit mapreduce.Emit) error {
-	total := 0
+func (sumReducer) Reduce(_ *mapreduce.TaskContext, key string, values []int64, emit mapreduce.TypedEmit[string, int64]) error {
+	var total int64
 	for _, v := range values {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return err
-		}
-		total += n
+		total += v
 	}
-	emit(key, strconv.Itoa(total))
+	emit(key, total)
 	return nil
 }
 
@@ -55,12 +55,22 @@ func TestEngineTracePhaseSumMatchesWall(t *testing.T) {
 	if err := fs.Create("in/text", []byte(strings.Repeat("the quick brown fox jumps over the lazy dog\n", 200)), ""); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(&mapreduce.Job{
-		Name:        "wordcount",
-		InputPaths:  []string{"in"},
-		OutputPath:  "out",
-		NewMapper:   func() mapreduce.Mapper { return wordMapper{} },
-		NewReducer:  func() mapreduce.Reducer { return sumReducer{} },
+	res, err := mapreduce.RunTyped(e, &mapreduce.TypedJob[string, string, string, int64, string, int64]{
+		Name:       "wordcount",
+		InputPaths: []string{"in"},
+		OutputPath: "out",
+		Mapper: func() mapreduce.TypedMapper[string, string, string, int64] {
+			return wordMapper{}
+		},
+		Reducer: func() mapreduce.TypedReducer[string, int64, string, int64] {
+			return sumReducer{}
+		},
+		InputKey:    recordio.RawString{},
+		InputValue:  recordio.RawString{},
+		MapKey:      recordio.RawString{},
+		MapValue:    recordio.Int64{},
+		OutputKey:   recordio.RawString{},
+		OutputValue: recordio.Int64{},
 		NumReducers: 3,
 	})
 	if err != nil {

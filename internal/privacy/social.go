@@ -7,8 +7,8 @@ import (
 	"strings"
 
 	"repro/internal/geo"
-	"repro/internal/geolife"
 	"repro/internal/mapreduce"
+	"repro/internal/recordio"
 	"repro/internal/trace"
 )
 
@@ -123,7 +123,8 @@ const (
 //
 //	job 1 — map: trace -> (cell@window, user); reduce: emit one
 //	        (userA|userB, bucket) record per co-located pair per bucket;
-//	job 2 — map: identity; reduce: count distinct buckets per pair.
+//	job 2 — map: identity over job 1's records; reduce: count distinct
+//	        buckets per pair.
 //
 // Intermediates are staged under workDir. Pairs below the threshold
 // are filtered by the driver after job 2.
@@ -135,26 +136,45 @@ func DiscoverSocialLinksMR(e *mapreduce.Engine, inputPaths []string, workDir str
 	}
 	stage1 := workDir + "/colocated-pairs"
 	stage2 := workDir + "/pair-counts"
-	results, err := e.RunPipeline(
-		&mapreduce.Job{
-			Name:        "social-colocate",
-			InputPaths:  inputPaths,
-			OutputPath:  stage1,
-			NewMapper:   func() mapreduce.Mapper { return &bucketMapper{} },
-			NewReducer:  func() mapreduce.Reducer { return &pairReducer{} },
-			NumReducers: e.Cluster().TotalSlots(),
-			Conf:        conf,
+	colocate := &socialColocateJob{
+		Name:       "social-colocate",
+		InputPaths: inputPaths,
+		OutputPath: stage1,
+		Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, string] {
+			return &bucketMapper{}
 		},
-		&mapreduce.Job{
-			Name:        "social-count",
-			InputPaths:  []string{stage1},
-			OutputPath:  stage2,
-			NewMapper:   func() mapreduce.Mapper { return pairIdentityMapper{} },
-			NewReducer:  func() mapreduce.Reducer { return countDistinctReducer{} },
-			NumReducers: e.Cluster().TotalSlots(),
-			Conf:        conf,
+		Reducer: func() mapreduce.TypedReducer[string, string, string, string] {
+			return pairReducer{}
 		},
-	)
+		InputKey:    recordio.RawString{},
+		InputValue:  recordio.TraceValue{},
+		MapKey:      recordio.RawString{},
+		MapValue:    recordio.RawString{},
+		OutputKey:   recordio.RawString{},
+		OutputValue: recordio.RawString{},
+		NumReducers: e.Cluster().TotalSlots(),
+		Conf:        conf,
+	}
+	count := &socialCountJob{
+		Name:       "social-count",
+		InputPaths: []string{stage1},
+		OutputPath: stage2,
+		Mapper: func() mapreduce.TypedMapper[string, string, string, string] {
+			return mapreduce.TypedMapFunc[string, string, string, string](pairIdentity)
+		},
+		Reducer: func() mapreduce.TypedReducer[string, string, string, int64] {
+			return countDistinctReducer{}
+		},
+		InputKey:    recordio.RawString{},
+		InputValue:  recordio.RawString{},
+		MapKey:      recordio.RawString{},
+		MapValue:    recordio.RawString{},
+		OutputKey:   recordio.RawString{},
+		OutputValue: recordio.Int64{},
+		NumReducers: e.Cluster().TotalSlots(),
+		Conf:        conf,
+	}
+	results, err := e.RunPipeline(colocate.Build(), count.Build())
 	if err != nil {
 		return nil, results, err
 	}
@@ -168,21 +188,29 @@ func DiscoverSocialLinksMR(e *mapreduce.Engine, inputPaths []string, workDir str
 		if !ok {
 			return nil, results, fmt.Errorf("privacy: bad pair key %q", kv.Key)
 		}
-		n, err := strconv.Atoi(kv.Value)
+		n, err := recordio.Int64{}.Decode(kv.Value)
 		if err != nil {
-			return nil, results, fmt.Errorf("privacy: bad pair count %q", kv.Value)
+			return nil, results, fmt.Errorf("privacy: pair %q count: %v", kv.Key, err)
 		}
-		if n >= opts.MinSharedWindows {
-			out = append(out, SocialLink{UserA: a, UserB: b, SharedWindows: n})
+		if n >= int64(opts.MinSharedWindows) {
+			out = append(out, SocialLink{UserA: a, UserB: b, SharedWindows: int(n)})
 		}
 	}
 	sortLinks(out)
 	return out, results, nil
 }
 
+// socialColocateJob maps traces to (cell@window, user) and reduces
+// each bucket to its (userA|userB, bucket) pairs.
+type socialColocateJob = mapreduce.TypedJob[string, trace.Trace, string, string, string, string]
+
+// socialCountJob reads job 1's (pair, bucket) records and counts
+// distinct buckets per pair.
+type socialCountJob = mapreduce.TypedJob[string, string, string, string, string, int64]
+
 // bucketMapper emits (cell@window, user) for every trace.
 type bucketMapper struct {
-	mapreduce.MapperBase
+	mapreduce.TypedMapperBase[string, string]
 	opts SocialOptions
 }
 
@@ -199,20 +227,18 @@ func (m *bucketMapper) Setup(ctx *mapreduce.TaskContext) error {
 	return nil
 }
 
-func (m *bucketMapper) Map(_ *mapreduce.TaskContext, _, value string, emit mapreduce.Emit) error {
-	t, err := geolife.ParseRecordValue(value)
-	if err != nil {
-		return err
-	}
+func (m *bucketMapper) Map(_ *mapreduce.TaskContext, _ string, t trace.Trace, emit mapreduce.TypedEmit[string, string]) error {
 	emit(colocationKey(t.Point, t.Time.Unix(), m.opts), t.User)
 	return nil
 }
 
 // pairReducer receives all users observed in one bucket and emits one
 // (userA|userB, bucket) record per distinct co-located pair.
-type pairReducer struct{ mapreduce.ReducerBase }
+type pairReducer struct {
+	mapreduce.TypedReducerBase[string, string]
+}
 
-func (pairReducer) Reduce(_ *mapreduce.TaskContext, key string, values []string, emit mapreduce.Emit) error {
+func (pairReducer) Reduce(_ *mapreduce.TaskContext, key string, values []string, emit mapreduce.TypedEmit[string, string]) error {
 	set := make(map[string]bool, len(values))
 	for _, u := range values {
 		set[u] = true
@@ -233,28 +259,23 @@ func (pairReducer) Reduce(_ *mapreduce.TaskContext, key string, values []string,
 	return nil
 }
 
-// pairIdentityMapper forwards stage-1 part-file lines ("pair TAB
-// bucket") unchanged.
-type pairIdentityMapper struct{ mapreduce.MapperBase }
-
-func (pairIdentityMapper) Map(_ *mapreduce.TaskContext, _, value string, emit mapreduce.Emit) error {
-	pair, bucket, ok := strings.Cut(value, "\t")
-	if !ok {
-		return fmt.Errorf("pairIdentityMapper: bad record %q", value)
-	}
+// pairIdentity forwards job 1's (pair, bucket) records unchanged.
+func pairIdentity(_ *mapreduce.TaskContext, pair, bucket string, emit mapreduce.TypedEmit[string, string]) error {
 	emit(pair, bucket)
 	return nil
 }
 
 // countDistinctReducer counts distinct values (buckets) per pair.
-type countDistinctReducer struct{ mapreduce.ReducerBase }
+type countDistinctReducer struct {
+	mapreduce.TypedReducerBase[string, int64]
+}
 
-func (countDistinctReducer) Reduce(_ *mapreduce.TaskContext, key string, values []string, emit mapreduce.Emit) error {
+func (countDistinctReducer) Reduce(_ *mapreduce.TaskContext, key string, values []string, emit mapreduce.TypedEmit[string, int64]) error {
 	set := make(map[string]bool, len(values))
 	for _, v := range values {
 		set[v] = true
 	}
-	emit(key, strconv.Itoa(len(set)))
+	emit(key, int64(len(set)))
 	return nil
 }
 
